@@ -8,7 +8,6 @@ import (
 	"repro/internal/erasure"
 	"repro/internal/page"
 	"repro/internal/workpool"
-	"repro/internal/xorparity"
 )
 
 // BulkLoad writes a run of consecutive logical pages as committed data
@@ -108,7 +107,7 @@ func (s *Store) bulkStripe(g page.GroupID, covered func(page.PageID) (page.Buf, 
 			return fmt.Errorf("core: bulk write page %d: %w", q, err)
 		}
 	}
-	parity := xorparity.Compute(s.Arr.PageSize(), raw...)
+	parity := erasure.ComputeP(s.Arr.PageSize(), raw...)
 	// On twinned arrays the new parity lands on the obsolete twin and
 	// the bitmap flips, the same crash-friendly two-version discipline
 	// as WriteCommitted (bulk loading itself is not atomic — loaders

@@ -40,7 +40,6 @@ import (
 	"repro/internal/txn"
 	"repro/internal/wal"
 	"repro/internal/workpool"
-	"repro/internal/xorparity"
 )
 
 // Store mediates all disk-array state changes for one database.
@@ -258,7 +257,7 @@ func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cached
 			}
 		}
 	}
-	newP := page.Buf(xorparity.SmallWrite(cur, oldData, data))
+	newP := page.Buf(erasure.ComputeP(len(cur), cur, oldData, data))
 	var newQ page.Buf
 	if hasQ {
 		newQ = page.Buf(erasure.QSmallWrite(curQ, oldData, data, s.groupIndexOf(g, p)))
@@ -464,7 +463,7 @@ func (s *Store) WriteStripeLogged(g page.GroupID, pages []page.PageID, datas []p
 	for i, d := range datas {
 		blocks[i] = d
 	}
-	newParity := page.Buf(xorparity.Compute(s.Arr.PageSize(), blocks...))
+	newParity := page.Buf(erasure.ComputeP(s.Arr.PageSize(), blocks...))
 	obsolete := s.Twins.Obsolete(g)
 	ts := s.TM.NextTimestamp()
 	last := len(pages) - 1
@@ -525,7 +524,7 @@ func (s *Store) singleParityWrite(p page.PageID, g page.GroupID, data, oldData p
 	if err != nil {
 		return fmt.Errorf("core: read parity of group %d: %w", g, err)
 	}
-	newParity := xorparity.SmallWrite(parity, oldData, data)
+	newParity := erasure.ComputeP(len(parity), parity, oldData, data)
 	if err := s.Arr.WriteParity(g, twin, newParity, pMeta); err != nil {
 		return fmt.Errorf("core: write parity of group %d: %w", g, err)
 	}
@@ -538,7 +537,7 @@ func (s *Store) singleParityWrite(p page.PageID, g page.GroupID, data, oldData p
 // written just before its P partner so the lockstep invariant holds at
 // every header the crash can expose.
 func (s *Store) updateBothTwins(g page.GroupID, p page.PageID, oldData, data page.Buf) error {
-	delta := xorparity.Xor(oldData, data)
+	delta := erasure.ComputeP(len(oldData), oldData, data)
 	var qDelta []byte
 	if s.Arr.HasQ() {
 		qDelta = make([]byte, len(delta))
@@ -550,7 +549,7 @@ func (s *Store) updateBothTwins(g page.GroupID, p page.PageID, oldData, data pag
 			if err != nil {
 				return fmt.Errorf("core: read twin %d Q of group %d: %w", twin, g, err)
 			}
-			xorparity.XorInto(q, qDelta)
+			erasure.AddInto(q, qDelta)
 			if err := s.Arr.WriteQ(g, twin, q, qMeta); err != nil {
 				return fmt.Errorf("core: write twin %d Q of group %d: %w", twin, g, err)
 			}
@@ -559,7 +558,7 @@ func (s *Store) updateBothTwins(g page.GroupID, p page.PageID, oldData, data pag
 		if err != nil {
 			return fmt.Errorf("core: read twin %d parity of group %d: %w", twin, g, err)
 		}
-		xorparity.XorInto(parity, delta)
+		erasure.AddInto(parity, delta)
 		if err := s.Arr.WriteParity(g, twin, parity, meta); err != nil {
 			return fmt.Errorf("core: write twin %d parity of group %d: %w", twin, g, err)
 		}
@@ -639,33 +638,38 @@ func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (pa
 		if !disk.IsCorrupt(err) {
 			return nil, fmt.Errorf("core: read page %d: %w", p, err)
 		}
-		// The dirty page's on-disk (new) version is corrupt, so the
-		// Figure 6 identity has nothing to XOR against — but the committed
-		// twin still describes the pre-transaction group, whose other
-		// members are untouched, so the before-image comes out directly:
-		// D_old = P_cmt ⊕ (other data pages).
 		s.deg.corruptDetected.Add(1)
-		dOld, rerr := s.ReconstructDataAny(g, p, 1-workingTwin)
-		if rerr != nil {
-			if disk.IsCorrupt(rerr) || errors.Is(rerr, disk.ErrFailed) {
-				s.deg.unrecoverable.Add(1)
-				return nil, fmt.Errorf("core: undo of corrupt page %d: %v: %w", p, rerr, ErrUnrecoverableCorruption)
-			}
-			return nil, fmt.Errorf("core: undo of corrupt page %d: %w", p, rerr)
-		}
-		if err := s.writeData(p, dOld, disk.Meta{}); err != nil {
-			return nil, err
-		}
-		s.deg.readRepairs.Add(1)
-		if err := s.InvalidateIndexAlive(g, workingTwin); err != nil {
-			return nil, err
-		}
-		return dOld, nil
+		return s.undoCorrupt(g, p, workingTwin)
 	}
-	dOld := page.Buf(xorparity.UndoTwin(p0, p1, dNew))
+	dOld := page.Buf(erasure.ComputeP(len(dNew), p0, p1, dNew))
 	if err := s.writeData(p, dOld, disk.Meta{}); err != nil {
 		return nil, err
 	}
+	if err := s.InvalidateIndexAlive(g, workingTwin); err != nil {
+		return nil, err
+	}
+	return dOld, nil
+}
+
+// undoCorrupt restores dirty page p whose on-disk (new) version failed
+// verification.  The Figure 6 identity has nothing to XOR against, but
+// the committed twin still describes the pre-transaction group, whose
+// other members are untouched, so the before-image comes out directly:
+// D_old = P_cmt ⊕ (other data pages).  The working twin is then
+// invalidated.
+func (s *Store) undoCorrupt(g page.GroupID, p page.PageID, workingTwin int) (page.Buf, error) {
+	dOld, err := s.ReconstructData(g, p, 1-workingTwin)
+	if err != nil {
+		if errors.Is(err, disk.ErrFailed) {
+			s.deg.unrecoverable.Add(1)
+			return nil, fmt.Errorf("core: undo of corrupt page %d: %v: %w", p, err, ErrUnrecoverableCorruption)
+		}
+		return nil, fmt.Errorf("core: undo of corrupt page %d: %w", p, err)
+	}
+	if err := s.writeData(p, dOld, disk.Meta{}); err != nil {
+		return nil, err
+	}
+	s.deg.readRepairs.Add(1)
 	if err := s.InvalidateIndexAlive(g, workingTwin); err != nil {
 		return nil, err
 	}
@@ -734,21 +738,10 @@ func (s *Store) CrashUndoWorkingTwin(w WorkingTwinInfo) error {
 		// The tagged page is corrupt, so its header cannot arbitrate.  The
 		// loser's page must end up holding the before-image either way, and
 		// the committed twin supplies it regardless of how far the steal
-		// got: D_old = P_cmt ⊕ (other data pages).
+		// got.
 		s.deg.corruptDetected.Add(1)
-		dOld, rerr := s.ReconstructDataAny(w.Group, w.Page, 1-w.Twin)
-		if rerr != nil {
-			if disk.IsCorrupt(rerr) || errors.Is(rerr, disk.ErrFailed) {
-				s.deg.unrecoverable.Add(1)
-				return fmt.Errorf("core: undo of corrupt tagged page %d: %v: %w", w.Page, rerr, ErrUnrecoverableCorruption)
-			}
-			return fmt.Errorf("core: undo of corrupt tagged page %d: %w", w.Page, rerr)
-		}
-		if err := s.writeData(w.Page, dOld, disk.Meta{}); err != nil {
-			return err
-		}
-		s.deg.readRepairs.Add(1)
-		return s.InvalidateIndexAlive(w.Group, w.Twin)
+		_, err := s.undoCorrupt(w.Group, w.Page, w.Twin)
+		return err
 	}
 	if meta.Txn != w.Txn {
 		// Already restored by a previous, interrupted recovery, or the
@@ -762,7 +755,7 @@ func (s *Store) CrashUndoWorkingTwin(w WorkingTwinInfo) error {
 		// than the one on disk, so P ⊕ P′ ⊕ D would yield garbage.  The
 		// committed twin still describes the pre-transaction group, giving
 		// the before-image directly: D_old = P_cmt ⊕ (other data pages).
-		dOld, err := s.ReconstructDataAny(w.Group, w.Page, 1-w.Twin)
+		dOld, err := s.ReconstructData(w.Group, w.Page, 1-w.Twin)
 		if err != nil {
 			return err
 		}
@@ -773,70 +766,6 @@ func (s *Store) CrashUndoWorkingTwin(w WorkingTwinInfo) error {
 	}
 	_, err = s.undoViaTwins(w.Group, w.Page, w.Twin)
 	return err
-}
-
-// ReconstructData rebuilds data page p of group g from the given parity
-// twin and the group's other data pages (charged reads): D = P ⊕ (other
-// data).  Callers pick a twin whose parity is known to describe the
-// wanted version of the group.
-func (s *Store) ReconstructData(g page.GroupID, p page.PageID, twin int) (page.Buf, error) {
-	parity, _, err := s.ReadParityRepair(g, twin)
-	if err != nil {
-		return nil, fmt.Errorf("core: read twin %d of group %d: %w", twin, g, err)
-	}
-	blocks := [][]byte{parity}
-	for _, q := range s.Arr.GroupPages(g) {
-		if q == p {
-			continue
-		}
-		b, _, err := s.Arr.ReadData(q)
-		if err != nil {
-			return nil, fmt.Errorf("core: read page %d: %w", q, err)
-		}
-		blocks = append(blocks, b)
-	}
-	return page.Buf(xorparity.Reconstruct(s.Arr.PageSize(), blocks...)), nil
-}
-
-// ReconstructDataAny rebuilds data page p of group g as described by
-// redundancy index `twin`, preferring the cheap P (XOR) equation and
-// falling back to the index's Q partner when the P slot is on a down
-// disk — the route that lets crash undo recover a before-image even
-// after the disk holding the committed parity twin died.
-func (s *Store) ReconstructDataAny(g page.GroupID, p page.PageID, twin int) (page.Buf, error) {
-	if s.paritySlotAlive(g, twin) {
-		return s.ReconstructData(g, p, twin)
-	}
-	if s.qSlotAlive(g, twin) {
-		return s.reconstructDataViaQ(g, p, twin)
-	}
-	return nil, fmt.Errorf("core: reconstruct page %d of group %d: redundancy index %d unreachable: %w",
-		p, g, twin, disk.ErrFailed)
-}
-
-// reconstructDataViaQ solves data page p from the given index's Q page
-// and the group's other data pages (charged reads):
-// D_i = g^{-i}·(Q ⊕ Σ_{k≠i} g^k·D_k).
-func (s *Store) reconstructDataViaQ(g page.GroupID, p page.PageID, twin int) (page.Buf, error) {
-	q, _, err := s.Arr.ReadQ(g, twin)
-	if err != nil {
-		return nil, fmt.Errorf("core: read Q twin %d of group %d: %w", twin, g, err)
-	}
-	pages := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	idx := -1
-	for i, pg := range pages {
-		if pg == p {
-			idx = i
-			continue
-		}
-		b, _, err := s.Arr.ReadData(pg)
-		if err != nil {
-			return nil, fmt.Errorf("core: read page %d: %w", pg, err)
-		}
-		raw[i] = b
-	}
-	return page.Buf(erasure.ReconstructOneQ(q, raw, idx)), nil
 }
 
 // DescribingTwin picks the parity twin a corrupt data page p must be
@@ -1076,82 +1005,22 @@ func (s *Store) resyncGroupQ(gid page.GroupID) (bool, error) {
 
 // repairSilentDamage runs a verified scan of group g — every member
 // checked against its checksum, location stamp and the write ledger —
-// and rebuilds at most one silently corrupt block from the current
-// twin's redundancy.  resyncGroup calls it when a group fails the XOR
-// identity, because the ledger is what distinguishes a crash from a
+// and rebuilds the silently corrupt blocks from the current twin's
+// redundancy (repairGroup).  resyncGroup calls it when a group fails the
+// XOR identity, because the ledger is what distinguishes a crash from a
 // lie: a write the crash cut off was never acknowledged, so the ledger
 // still matches the old contents and the scan finds nothing, whereas a
 // lost or misdirected write WAS acknowledged — the transaction that
 // issued it may have committed — and the stale block trips a detector.
 // Reports whether anything was rewritten.
 func (s *Store) repairSilentDamage(g page.GroupID, twin int) (bool, error) {
-	pages := s.Arr.GroupPages(g)
-	data := make([]page.Buf, len(pages))
-	bad := -1
-	for i, p := range pages {
-		b, _, err := s.Arr.ReadData(p)
-		switch {
-		case err == nil:
-			data[i] = b
-		case disk.IsCorrupt(err):
-			s.deg.corruptDetected.Add(1)
-			if bad >= 0 {
-				s.deg.unrecoverable.Add(1)
-				return false, fmt.Errorf("core: resync group %d has two corrupt data blocks (%v): %w", g, err, ErrUnrecoverableCorruption)
-			}
-			bad = i
-		default:
-			return false, fmt.Errorf("core: resync group %d: %w", g, err)
-		}
+	sol, err := s.repairGroup(g, twin, false)
+	if err != nil {
+		return false, fmt.Errorf("core: resync group %d: %w", g, err)
 	}
-
-	parity, pMeta, perr := s.Arr.ReadParity(g, twin)
-	if perr != nil {
-		if !disk.IsCorrupt(perr) {
-			return false, fmt.Errorf("core: resync group %d parity: %w", g, perr)
-		}
-		s.deg.corruptDetected.Add(1)
-		if bad >= 0 {
-			s.deg.unrecoverable.Add(1)
-			return false, fmt.Errorf("core: resync group %d lost both a data block and its parity (%v): %w", g, perr, ErrUnrecoverableCorruption)
-		}
-		// The parity itself is the lie.  Recompute it from the (all
-		// verified) data; the persisted header survives a payload-only
-		// checksum failure, otherwise synthesize a fresh committed one.
-		meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		if errors.Is(perr, disk.ErrChecksum) {
-			if m, merr := s.Arr.PeekParityMeta(g, twin); merr == nil {
-				meta = m
-			}
-		}
-		if _, err := s.recomputeParityFrom(g, twin, data, meta); err != nil {
-			return false, err
-		}
-		s.deg.readRepairs.Add(1)
-		return true, nil
-	}
-
-	if bad < 0 {
-		return false, nil
-	}
-	// Rebuild the flagged data block from parity + survivors, restoring
-	// a flip-pairing header if the parity names this page.
-	survivors := [][]byte{parity}
-	for i, b := range data {
-		if i != bad {
-			survivors = append(survivors, b)
-		}
-	}
-	meta := disk.Meta{}
-	if pMeta.PairedSet && pMeta.DirtyPage == pages[bad] {
-		meta = disk.Meta{Timestamp: pMeta.Timestamp}
-	}
-	rebuilt := xorparity.Reconstruct(s.Arr.PageSize(), survivors...)
-	if err := s.Arr.WriteData(pages[bad], rebuilt, meta); err != nil {
-		return false, fmt.Errorf("core: resync repair page %d: %w", pages[bad], err)
-	}
-	s.deg.readRepairs.Add(1)
-	return true, nil
+	n := sol.faults()
+	s.deg.readRepairs.Add(uint64(n))
+	return n > 0, nil
 }
 
 // SetInjector installs (or removes) a fault injector on every drive of
@@ -1198,7 +1067,7 @@ func (s *Store) RebuildAfterCrashDegraded(committed func(page.TxID) bool) (int, 
 		gid := page.GroupID(g)
 		deadSlots := false
 		for t := 0; t < 2; t++ {
-			if !s.paritySlotAlive(gid, t) || (hasQ && !s.qSlotAlive(gid, t)) {
+			if !s.ParitySlotAlive(gid, t) || (hasQ && !s.QSlotAlive(gid, t)) {
 				deadSlots = true
 			}
 		}
@@ -1224,7 +1093,7 @@ func (s *Store) RebuildAfterCrashDegraded(committed func(page.TxID) bool) (int, 
 		deferred++
 		lostData := false
 		for _, p := range s.Arr.GroupPages(gid) {
-			if s.pageUnavailable(p) {
+			if s.PageUnavailable(p) {
 				lostData = true
 				break
 			}
@@ -1282,10 +1151,10 @@ func (s *Store) launderAliveWorking(g page.GroupID, cur int, committed func(page
 			read  func() (disk.Meta, error)
 			write func(disk.Meta) error
 		}{
-			{s.paritySlotAlive(g, t),
+			{s.ParitySlotAlive(g, t),
 				func() (disk.Meta, error) { return s.Arr.ReadParityMeta(g, t) },
 				func(m disk.Meta) error { return s.Arr.WriteParityMeta(g, t, m) }},
-			{hasQ && s.qSlotAlive(g, t),
+			{hasQ && s.QSlotAlive(g, t),
 				func() (disk.Meta, error) { return s.Arr.ReadQMeta(g, t) },
 				func(m disk.Meta) error { return s.Arr.WriteQMeta(g, t, m) }},
 		}
@@ -1320,10 +1189,10 @@ func (s *Store) bestAliveIndex(g page.GroupID) int {
 	hasQ := s.Arr.HasQ()
 	score := func(t int) int {
 		n := 0
-		if s.paritySlotAlive(g, t) {
+		if s.ParitySlotAlive(g, t) {
 			n += 2
 		}
-		if hasQ && s.qSlotAlive(g, t) {
+		if hasQ && s.QSlotAlive(g, t) {
 			n++
 		}
 		return n
@@ -1346,7 +1215,7 @@ func (s *Store) establishIndex(g page.GroupID, t int) error {
 		}
 		return disk.Meta{State: disk.StateCommitted, Timestamp: freshTS}
 	}
-	if s.paritySlotAlive(g, t) {
+	if s.ParitySlotAlive(g, t) {
 		m, err := s.Arr.ReadParityMeta(g, t)
 		if err != nil {
 			return err
@@ -1364,7 +1233,7 @@ func (s *Store) establishIndex(g page.GroupID, t int) error {
 			}
 		}
 	}
-	if s.Arr.HasQ() && s.qSlotAlive(g, t) {
+	if s.Arr.HasQ() && s.QSlotAlive(g, t) {
 		m, err := s.Arr.ReadQMeta(g, t)
 		if err != nil {
 			return err
@@ -1380,7 +1249,7 @@ func (s *Store) establishIndex(g page.GroupID, t int) error {
 			// Mirror the P partner's committed header when it survived —
 			// the lockstep invariant — else stamp fresh committed.
 			meta := fresh()
-			if s.paritySlotAlive(g, t) {
+			if s.ParitySlotAlive(g, t) {
 				if pm, perr := s.Arr.PeekParityMeta(g, t); perr == nil && pm.State == disk.StateCommitted {
 					meta = pm
 				}
@@ -1409,13 +1278,13 @@ func (s *Store) degradedCurrentIndex(g page.GroupID, committed func(page.TxID) b
 	var have [2]bool
 	for t := 0; t < 2; t++ {
 		switch {
-		case s.paritySlotAlive(g, t):
+		case s.ParitySlotAlive(g, t):
 			m, err := s.Arr.ReadParityMeta(g, t)
 			if err != nil {
 				return 0, err
 			}
 			metas[t], have[t] = m, true
-		case s.qSlotAlive(g, t):
+		case s.QSlotAlive(g, t):
 			m, err := s.Arr.ReadQMeta(g, t)
 			if err != nil {
 				return 0, err
@@ -1450,7 +1319,7 @@ func (s *Store) degradedCurrentIndex(g page.GroupID, committed func(page.TxID) b
 		return 0, fmt.Errorf("core: group %d has no valid redundancy index", g)
 	}
 	m := metas[cur]
-	if m.State != disk.StateCommitted || !m.PairedSet || s.pageUnavailable(m.DirtyPage) || !valid(1-cur) {
+	if m.State != disk.StateCommitted || !m.PairedSet || s.PageUnavailable(m.DirtyPage) || !valid(1-cur) {
 		return cur, nil
 	}
 	_, dm, err := s.Arr.ReadData(m.DirtyPage)
@@ -1464,24 +1333,24 @@ func (s *Store) degradedCurrentIndex(g page.GroupID, committed func(page.TxID) b
 	}
 	if metas[1-cur].State != disk.StateCommitted {
 		lm := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		if s.qSlotAlive(g, 1-cur) {
+		if s.QSlotAlive(g, 1-cur) {
 			if err := s.Arr.WriteQMeta(g, 1-cur, lm); err != nil {
 				return cur, err
 			}
 		}
-		if s.paritySlotAlive(g, 1-cur) {
+		if s.ParitySlotAlive(g, 1-cur) {
 			if err := s.Arr.WriteParityMeta(g, 1-cur, lm); err != nil {
 				return cur, err
 			}
 		}
 	}
 	inv := disk.Meta{State: disk.StateInvalid, Timestamp: 0}
-	if s.qSlotAlive(g, cur) {
+	if s.QSlotAlive(g, cur) {
 		if err := s.Arr.WriteQMeta(g, cur, inv); err != nil {
 			return cur, err
 		}
 	}
-	if s.paritySlotAlive(g, cur) {
+	if s.ParitySlotAlive(g, cur) {
 		if err := s.Arr.WriteParityMeta(g, cur, inv); err != nil {
 			return cur, err
 		}
@@ -1520,7 +1389,7 @@ func (s *Store) checkPairedFlip(g page.GroupID, cur int, committed func(page.TxI
 	if err != nil {
 		return cur, err
 	}
-	if m.State != disk.StateCommitted || !m.PairedSet || s.pageUnavailable(m.DirtyPage) {
+	if m.State != disk.StateCommitted || !m.PairedSet || s.PageUnavailable(m.DirtyPage) {
 		return cur, nil
 	}
 	_, dm, err := s.Arr.ReadData(m.DirtyPage)
@@ -1592,7 +1461,7 @@ func (s *Store) VerifyParityInvariant() error {
 			}
 			lostData := false
 			for _, p := range s.Arr.GroupPages(gid) {
-				if s.pageUnavailable(p) {
+				if s.PageUnavailable(p) {
 					lostData = true
 					break
 				}
@@ -1606,7 +1475,7 @@ func (s *Store) VerifyParityInvariant() error {
 			// Only redundancy slots are lost: the established index's
 			// surviving slots must describe the (fully readable) data.
 			t := s.currentTwin(gid)
-			if s.paritySlotAlive(gid, t) {
+			if s.ParitySlotAlive(gid, t) {
 				ok, err := s.Arr.VerifyGroup(gid, t)
 				if err != nil {
 					return err
@@ -1615,7 +1484,7 @@ func (s *Store) VerifyParityInvariant() error {
 					return fmt.Errorf("core: degraded group %d parity invariant violated (surviving twin %d)", g, t)
 				}
 			}
-			if hasQ && s.qSlotAlive(gid, t) {
+			if hasQ && s.QSlotAlive(gid, t) {
 				ok, err := s.Arr.VerifyGroupQ(gid, t)
 				if err != nil {
 					return err

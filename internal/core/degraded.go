@@ -14,12 +14,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/disk"
 	"repro/internal/erasure"
 	"repro/internal/page"
-	"repro/internal/xorparity"
 )
 
 // DegradedStats is a snapshot of the degraded-serving and latent-repair
@@ -94,19 +94,6 @@ func (s *Store) LeaveDegraded() {
 // position counts as down for serving purposes.
 func (s *Store) SetReplacementPresent(ok bool) { s.replacement = ok }
 
-// PageUnavailable reports whether data page p must not be read from its
-// platter: it lives on a down disk and its group has not been restored.
-// During crash recovery this is always position-keyed — even when a
-// replacement drive is present the page's content is untrustworthy
-// (a rebuilt page is indistinguishable from an unrestored zeroed one).
-func (s *Store) PageUnavailable(p page.PageID) bool { return s.pageUnavailable(p) }
-
-// DeadTwin returns a parity twin of group g on a down disk, or -1.
-func (s *Store) DeadTwin(g page.GroupID) int { return s.deadTwin(g) }
-
-// DeadQTwin returns a Q twin of group g on a down disk, or -1.
-func (s *Store) DeadQTwin(g page.GroupID) int { return s.deadQTwin(g) }
-
 // TwinReadable reports whether parity twin `twin` of group g holds
 // trustworthy bits.  Twins off the down disks always do.  A twin on a
 // down disk is gone while the dead drive is still in place; once a
@@ -154,12 +141,12 @@ func (s *Store) QTwinReadable(g page.GroupID, twin int) bool {
 // twinpage.Invalidate.
 func (s *Store) InvalidateIndexAlive(g page.GroupID, twin int) error {
 	meta := disk.Meta{State: disk.StateInvalid, Timestamp: 0}
-	if s.Arr.HasQ() && s.qSlotAlive(g, twin) {
+	if s.Arr.HasQ() && s.QSlotAlive(g, twin) {
 		if err := s.Arr.WriteQMeta(g, twin, meta); err != nil {
 			return fmt.Errorf("core: invalidate Q twin %d of group %d: %w", twin, g, err)
 		}
 	}
-	if s.paritySlotAlive(g, twin) {
+	if s.ParitySlotAlive(g, twin) {
 		if err := s.Arr.WriteParityMeta(g, twin, meta); err != nil {
 			return fmt.Errorf("core: invalidate twin %d of group %d: %w", twin, g, err)
 		}
@@ -256,9 +243,12 @@ func (s *Store) GroupOnDisk(g page.GroupID, d int) bool {
 	return false
 }
 
-// pageUnavailable reports whether data page p is currently unreachable
-// (it lives on a down disk and its group has not been restored).
-func (s *Store) pageUnavailable(p page.PageID) bool {
+// PageUnavailable reports whether data page p must not be read from its
+// platter: it lives on a down disk and its group has not been restored.
+// During crash recovery this is always position-keyed — even when a
+// replacement drive is present the page's content is untrustworthy
+// (a rebuilt page is indistinguishable from an unrestored zeroed one).
+func (s *Store) PageUnavailable(p page.PageID) bool {
 	if !s.degraded {
 		return false
 	}
@@ -268,8 +258,8 @@ func (s *Store) pageUnavailable(p page.PageID) bool {
 	return s.isDown(s.Arr.DataLoc(p).Disk)
 }
 
-// deadTwin returns a parity twin of group g on a down disk, or -1.
-func (s *Store) deadTwin(g page.GroupID) int {
+// DeadTwin returns a parity twin of group g on a down disk, or -1.
+func (s *Store) DeadTwin(g page.GroupID) int {
 	if !s.degraded || (s.restored != nil && s.restored[g]) {
 		return -1
 	}
@@ -281,8 +271,8 @@ func (s *Store) deadTwin(g page.GroupID) int {
 	return -1
 }
 
-// deadQTwin returns a Q twin of group g on a down disk, or -1.
-func (s *Store) deadQTwin(g page.GroupID) int {
+// DeadQTwin returns a Q twin of group g on a down disk, or -1.
+func (s *Store) DeadQTwin(g page.GroupID) int {
 	if !s.degraded || (s.restored != nil && s.restored[g]) {
 		return -1
 	}
@@ -299,28 +289,15 @@ func (s *Store) deadQTwin(g page.GroupID) int {
 // been restored by the rebuild worker).  Unlike TwinReadable it says
 // nothing about the slot's header — only whether the platter answers.
 func (s *Store) ParitySlotAlive(g page.GroupID, twin int) bool {
-	return s.paritySlotAlive(g, twin)
-}
-
-// QSlotAlive is ParitySlotAlive for the Q slot of the same index; false
-// on arrays without Q redundancy.
-func (s *Store) QSlotAlive(g page.GroupID, twin int) bool {
-	return s.qSlotAlive(g, twin)
-}
-
-// paritySlotAlive reports whether the P slot of redundancy index `twin`
-// of group g can be read and written (its disk is up, or the group has
-// been restored by the rebuild worker).
-func (s *Store) paritySlotAlive(g page.GroupID, twin int) bool {
 	if !s.degraded || (s.restored != nil && s.restored[g]) {
 		return true
 	}
 	return !s.isDown(s.Arr.ParityLoc(g, twin).Disk)
 }
 
-// qSlotAlive is paritySlotAlive for the Q slot of the same index; false
+// QSlotAlive is ParitySlotAlive for the Q slot of the same index; false
 // on arrays without Q redundancy.
-func (s *Store) qSlotAlive(g page.GroupID, twin int) bool {
+func (s *Store) QSlotAlive(g page.GroupID, twin int) bool {
 	if twin >= s.Arr.QParityPages() {
 		return false
 	}
@@ -342,21 +319,76 @@ func (s *Store) describingTwin(g page.GroupID) int {
 	return s.currentTwin(g)
 }
 
-// SolveGroup returns the data values of every member of group g as
-// described by redundancy index `twin`, treating unreachable and
-// silently corrupt members as erasures and solving them from the P
-// and/or Q equations of that index.  The data members are read first and
-// the equations lazily — none at zero erasures, P alone at one (Q only
-// when the P slot is itself dead or corrupt), both at two — so the
-// transfer counts of the classic single-loss paths are unchanged by the
-// Q machinery.  Erasures beyond what the reachable equations can solve
-// surface as ErrUnrecoverableCorruption.
-func (s *Store) SolveGroup(g page.GroupID, twin int) ([]page.Buf, error) {
+// Solve names what SolveGroup takes as given beyond the platter.  The
+// zero value solves exactly the members the store cannot read.
+type Solve struct {
+	// Unknown lists data members to solve even though their platter is
+	// readable: a page under repair, or a loser's page whose on-disk
+	// version the requested index does not describe.
+	Unknown []page.PageID
+	// Down, when non-nil, stands in for the store's serving view of
+	// which disks are down: exactly the group's blocks on these disks —
+	// data and redundancy alike — are erased.  Media recovery passes the
+	// drives it has replaced with blank ones.
+	Down []int
+	// SubVal, when non-nil, stands in for member Sub's platter contents
+	// (a retained before-image); Sub is then neither read nor solved.
+	Sub    page.PageID
+	SubVal page.Buf
+	// RepairP reads the P equation through ReadParityRepair, so a
+	// corrupt describing twin is recomputed in place instead of being
+	// treated as an erasure.
+	RepairP bool
+}
+
+// Solution is a group solved under one redundancy index.
+type Solution struct {
+	// Pages and Vals list the group's members and their values, in
+	// group order.
+	Pages []page.PageID
+	Vals  []page.Buf
+	// Corrupt lists the members (group indexes) whose read failed
+	// verification; they were solved like the other erasures.
+	Corrupt []int
+	// P and Q are the index's equation payloads when the solve read them
+	// intact, with their headers; PErr and QErr record an equation read
+	// that failed verification (and was treated as an erasure).
+	P, Q         page.Buf
+	PMeta, QMeta disk.Meta
+	PErr, QErr   error
+}
+
+// Val returns member p's value.
+func (sol *Solution) Val(p page.PageID) page.Buf {
+	return sol.Vals[slices.Index(sol.Pages, p)]
+}
+
+// SolveGroup is the group solver: degraded reads and writes, read
+// repair, scrub, crash undo and media rebuild all compute data members
+// from redundancy through it.  It returns every member of group g as
+// described by redundancy index `twin`, treating as erasures the members
+// that are unreachable, that fail verification, or that `in` names, and
+// solving them from the P and/or Q equations of that index.  The data
+// members are read first and the equations lazily — none at zero
+// erasures, P alone at one (Q only when the P slot is itself dead or
+// corrupt), both at two.  Erasures beyond what the reachable equations
+// can solve surface as ErrUnrecoverableCorruption.
+func (s *Store) SolveGroup(g page.GroupID, twin int, in Solve) (*Solution, error) {
+	up := func(d int, alive bool) bool {
+		if in.Down != nil {
+			return !slices.Contains(in.Down, d)
+		}
+		return alive
+	}
 	pages := s.Arr.GroupPages(g)
-	vals := make([]page.Buf, len(pages))
+	sol := &Solution{Pages: pages, Vals: make([]page.Buf, len(pages))}
 	var missing []int
 	for i, p := range pages {
-		if s.pageUnavailable(p) {
+		switch {
+		case in.SubVal != nil && p == in.Sub:
+			sol.Vals[i] = in.SubVal
+			continue
+		case !up(s.Arr.DataLoc(p).Disk, !s.PageUnavailable(p)) || slices.Contains(in.Unknown, p):
 			missing = append(missing, i)
 			continue
 		}
@@ -366,63 +398,80 @@ func (s *Store) SolveGroup(g page.GroupID, twin int) ([]page.Buf, error) {
 				return nil, fmt.Errorf("core: solve group %d: read page %d: %w", g, p, err)
 			}
 			s.deg.corruptDetected.Add(1)
+			sol.Corrupt = append(sol.Corrupt, i)
 			missing = append(missing, i)
 			continue
 		}
-		vals[i] = b
+		sol.Vals[i] = b
 	}
 	if len(missing) == 0 {
-		return vals, nil
+		return sol, nil
 	}
-	raw := make([][]byte, len(vals))
-	for i, v := range vals {
+	raw := make([][]byte, len(sol.Vals))
+	for i, v := range sol.Vals {
 		raw[i] = v
 	}
-	var pBuf []byte
-	if s.paritySlotAlive(g, twin) {
-		b, _, err := s.Arr.ReadParity(g, twin)
+	if up(s.Arr.ParityLoc(g, twin).Disk, s.ParitySlotAlive(g, twin)) {
+		read := s.Arr.ReadParity
+		if in.RepairP {
+			read = s.ReadParityRepair // counts its own detections
+		}
+		b, m, err := read(g, twin)
 		switch {
 		case err == nil:
-			pBuf = b
+			sol.P, sol.PMeta = b, m
 		case disk.IsCorrupt(err):
-			s.deg.corruptDetected.Add(1)
+			if !in.RepairP {
+				s.deg.corruptDetected.Add(1)
+			}
+			sol.PErr = err
 		default:
 			return nil, fmt.Errorf("core: solve group %d: read parity twin %d: %w", g, twin, err)
 		}
 	}
-	if len(missing) == 1 && pBuf != nil {
+	if len(missing) == 1 && sol.P != nil {
 		i := missing[0]
-		blocks := append([][]byte{pBuf}, raw[:i]...)
-		blocks = append(blocks, raw[i+1:]...)
-		vals[i] = page.Buf(xorparity.Reconstruct(s.Arr.PageSize(), blocks...))
-		return vals, nil
+		sol.Vals[i] = page.Buf(erasure.ComputeP(s.Arr.PageSize(), append(raw, sol.P)...))
+		return sol, nil
 	}
-	var qBuf []byte
-	if s.qSlotAlive(g, twin) {
-		b, _, err := s.Arr.ReadQ(g, twin)
+	if twin < s.Arr.QParityPages() && up(s.Arr.QLoc(g, twin).Disk, s.QSlotAlive(g, twin)) {
+		b, m, err := s.Arr.ReadQ(g, twin)
 		switch {
 		case err == nil:
-			qBuf = b
+			sol.Q, sol.QMeta = b, m
 		case disk.IsCorrupt(err):
 			s.deg.corruptDetected.Add(1)
+			sol.QErr = err
 		default:
 			return nil, fmt.Errorf("core: solve group %d: read Q twin %d: %w", g, twin, err)
 		}
 	}
 	switch {
-	case len(missing) == 1 && qBuf != nil:
+	case len(missing) == 1 && sol.Q != nil:
 		i := missing[0]
-		vals[i] = page.Buf(erasure.ReconstructOneQ(qBuf, raw, i))
-		return vals, nil
-	case len(missing) == 2 && pBuf != nil && qBuf != nil:
+		sol.Vals[i] = page.Buf(erasure.ReconstructOneQ(sol.Q, raw, i))
+		return sol, nil
+	case len(missing) == 2 && sol.P != nil && sol.Q != nil:
 		i, j := missing[0], missing[1]
-		di, dj := erasure.ReconstructTwo(pBuf, qBuf, raw, i, j)
-		vals[i], vals[j] = page.Buf(di), page.Buf(dj)
-		return vals, nil
+		di, dj := erasure.ReconstructTwo(sol.P, sol.Q, raw, i, j)
+		sol.Vals[i], sol.Vals[j] = page.Buf(di), page.Buf(dj)
+		return sol, nil
 	}
 	s.deg.unrecoverable.Add(1)
 	return nil, fmt.Errorf("core: solve group %d: %d erased members exceed the reachable redundancy of index %d: %w",
 		g, len(missing), twin, ErrUnrecoverableCorruption)
+}
+
+// ReconstructData returns the value redundancy index `twin` describes for
+// data page p of group g, whatever p's platter holds — the before-image
+// of an undo, or the contents of a page under repair.  Callers pick the
+// index; a corrupt P page of the describing index is repaired in place.
+func (s *Store) ReconstructData(g page.GroupID, p page.PageID, twin int) (page.Buf, error) {
+	sol, err := s.SolveGroup(g, twin, Solve{Unknown: []page.PageID{p}, RepairP: true})
+	if err != nil {
+		return nil, err
+	}
+	return sol.Val(p), nil
 }
 
 // readDegraded serves a read of an unreachable data page by on-the-fly
@@ -431,12 +480,12 @@ func (s *Store) SolveGroup(g page.GroupID, twin int) ([]page.Buf, error) {
 // written back; the rebuild worker restores the block.
 func (s *Store) readDegraded(p page.PageID) (page.Buf, error) {
 	g := s.Arr.GroupOf(p)
-	vals, err := s.SolveGroup(g, s.describingTwin(g))
+	sol, err := s.SolveGroup(g, s.describingTwin(g), Solve{})
 	if err != nil {
 		return nil, fmt.Errorf("core: degraded read of page %d: %w", p, err)
 	}
 	s.deg.degradedReads.Add(1)
-	return vals[s.groupIndexOf(g, p)], nil
+	return sol.Val(p), nil
 }
 
 // groupIndexOf returns page p's index within its group's member list —
@@ -459,7 +508,7 @@ func (s *Store) writeDegradedNeeded(g page.GroupID, p page.PageID) bool {
 	if !s.GroupDegraded(g) {
 		return false
 	}
-	return s.pageUnavailable(p) || s.deadTwin(g) >= 0 || s.deadQTwin(g) >= 0
+	return s.PageUnavailable(p) || s.DeadTwin(g) >= 0 || s.DeadQTwin(g) >= 0
 }
 
 // writeDegraded writes data page p of a group with unreachable blocks.
@@ -499,7 +548,7 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 	for i, q := range pages {
 		if q == p {
 			idx = i
-		} else if s.pageUnavailable(q) {
+		} else if s.PageUnavailable(q) {
 			othersLost = true
 		}
 	}
@@ -508,11 +557,11 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		// A second data member is also gone (double-degraded): its old
 		// value is needed for the wholesale recompute, so solve the whole
 		// group from the describing index first.
-		old, err := s.SolveGroup(g, s.describingTwin(g))
+		sol, err := s.SolveGroup(g, s.describingTwin(g), Solve{})
 		if err != nil {
 			return fmt.Errorf("core: degraded write of page %d: %w", p, err)
 		}
-		vals = old
+		vals = sol.Vals
 	} else {
 		vals = make([]page.Buf, len(pages))
 		for i, q := range pages {
@@ -531,10 +580,10 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 	for i, v := range vals {
 		raw[i] = v
 	}
-	newP := page.Buf(xorparity.Compute(s.Arr.PageSize(), raw...))
+	newP := page.Buf(erasure.ComputeP(s.Arr.PageSize(), raw...))
 
 	if s.Twins == nil {
-		if s.pageUnavailable(p) {
+		if s.PageUnavailable(p) {
 			pMeta, err := s.Arr.PeekParityMeta(g, 0)
 			if err != nil {
 				return fmt.Errorf("core: degraded write of page %d: %w", p, err)
@@ -556,10 +605,10 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 	}
 	score := func(t int) int {
 		n := 0
-		if s.paritySlotAlive(g, t) {
+		if s.ParitySlotAlive(g, t) {
 			n++
 		}
-		if hasQ && s.qSlotAlive(g, t) {
+		if hasQ && s.QSlotAlive(g, t) {
 			n++
 		}
 		return n
@@ -573,7 +622,7 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		// Both of the index's slots are on down disks (and so are the
 		// other index's — scores tie at zero only then).  Only the data
 		// write can carry the group; the rebuild recomputes redundancy.
-		if s.pageUnavailable(p) {
+		if s.PageUnavailable(p) {
 			s.deg.unrecoverable.Add(1)
 			return fmt.Errorf("core: degraded write of page %d: no reachable redundancy: %w", p, ErrUnrecoverableCorruption)
 		}
@@ -581,22 +630,22 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 	}
 	ts := s.TM.NextTimestamp()
 	meta := disk.Meta{State: disk.StateCommitted, Timestamp: ts}
-	if !s.pageUnavailable(p) {
+	if !s.PageUnavailable(p) {
 		meta.DirtyPage = p
 		meta.PairedSet = true
 	}
-	if hasQ && s.qSlotAlive(g, target) {
+	if hasQ && s.QSlotAlive(g, target) {
 		if err := s.Arr.WriteQ(g, target, newQ, meta); err != nil {
 			return fmt.Errorf("core: degraded write of page %d: %w", p, err)
 		}
 	}
-	if s.paritySlotAlive(g, target) {
+	if s.ParitySlotAlive(g, target) {
 		if err := s.Arr.WriteParity(g, target, newP, meta); err != nil {
 			return fmt.Errorf("core: degraded write of page %d: %w", p, err)
 		}
 	}
 	s.Twins.Promote(g, target)
-	if s.pageUnavailable(p) {
+	if s.PageUnavailable(p) {
 		return nil
 	}
 	return s.writeData(p, data, disk.Meta{Timestamp: ts})

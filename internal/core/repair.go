@@ -6,122 +6,40 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/page"
-	"repro/internal/xorparity"
 )
 
 // RebuildDataPage reconstructs one data page from its group's
-// redundancy — the valid parity view plus the other members — writes it
-// back, and returns the contents.  For a dirty group the working twin is
-// the parity of the on-disk data; for a clean group the current twin is.
-// The rebuilt page's header is restored from what the parity header
-// records: a dirty page gets its crash-undo transaction tag (and the
-// working twin's timestamp, so the re-steal detection keeps working), and
-// a page named by a committed flip pairing gets the pairing timestamp
-// back (so a later degraded restart does not mistake the completed flip
-// for a broken one).
+// redundancy — the index describing the on-disk data plus the other
+// members — writes it back, and returns the contents.  For a dirty group
+// the working twin is the parity of the on-disk data; for a clean group
+// the current twin is.  The rebuilt page's header is restored from what
+// the index's header records: a dirty page gets its crash-undo
+// transaction tag (and the working twin's timestamp, so the re-steal
+// detection keeps working), and a page named by a committed flip pairing
+// gets the pairing timestamp back (so a later degraded restart does not
+// mistake the completed flip for a broken one).
 //
-// A survivor that is itself unreachable or corrupt means the group has
-// lost two blocks: the rebuild fails with ErrUnrecoverableCorruption
-// rather than fabricating contents.
+// Survivors that are unreachable or corrupt are further erasures; when
+// they exceed the index's equations the rebuild fails with
+// ErrUnrecoverableCorruption rather than fabricating contents.
 func (s *Store) RebuildDataPage(p page.PageID) (page.Buf, error) {
 	g := s.Arr.GroupOf(p)
-	twin := 0
-	var dirtyTxn page.TxID
-	isDirtyPage := false
-	if s.Twins != nil {
-		twin = s.Twins.Current(g)
-		if s.Dirty != nil {
-			if e, dirty := s.Dirty.Lookup(g); dirty {
-				twin = e.WorkingTwin
-				if e.Page == p {
-					isDirtyPage = true
-					dirtyTxn = e.Txn
-				}
-			}
-		}
-	}
-	parity, pm, err := s.ReadParityRepair(g, twin)
-	if err != nil {
-		if disk.IsCorrupt(err) || errors.Is(err, disk.ErrFailed) {
-			if s.Arr.HasQ() {
-				// The P equation is gone; the index's Q partner solves the
-				// same data state (lockstep).
-				return s.rebuildDataPageViaSolve(g, p, twin, isDirtyPage, dirtyTxn)
-			}
-			return nil, fmt.Errorf("core: rebuild page %d: read parity: %v: %w", p, err, ErrUnrecoverableCorruption)
-		}
-		return nil, fmt.Errorf("core: rebuild page %d: read parity: %w", p, err)
-	}
-	survivors := [][]byte{parity}
-	for _, q := range s.Arr.GroupPages(g) {
-		if q == p {
-			continue
-		}
-		if s.pageUnavailable(q) {
-			if s.Arr.HasQ() {
-				// p plus a dead sibling are two erasures: P and Q together.
-				return s.rebuildDataPageViaSolve(g, p, twin, isDirtyPage, dirtyTxn)
-			}
-			return nil, fmt.Errorf("core: rebuild page %d: survivor %d unreachable: %w", p, q, ErrUnrecoverableCorruption)
-		}
-		b, _, err := s.Arr.ReadData(q)
-		if err != nil {
-			if disk.IsCorrupt(err) || errors.Is(err, disk.ErrFailed) {
-				if s.Arr.HasQ() && disk.IsCorrupt(err) {
-					// p plus a corrupt sibling: solve both from P and Q.
-					return s.rebuildDataPageViaSolve(g, p, twin, isDirtyPage, dirtyTxn)
-				}
-				return nil, fmt.Errorf("core: rebuild page %d: read survivor %d: %v: %w", p, q, err, ErrUnrecoverableCorruption)
-			}
-			return nil, fmt.Errorf("core: rebuild page %d: read survivor %d: %w", p, q, err)
-		}
-		survivors = append(survivors, b)
-	}
-	meta := disk.Meta{}
-	switch {
-	case isDirtyPage:
-		meta = disk.Meta{Txn: dirtyTxn, Timestamp: pm.Timestamp}
-	case pm.PairedSet && pm.DirtyPage == p:
-		meta = disk.Meta{Timestamp: pm.Timestamp}
-	}
-	rebuilt := page.Buf(xorparity.Reconstruct(s.Arr.PageSize(), survivors...))
-	if err := s.Arr.WriteData(p, rebuilt, meta); err != nil {
-		return nil, fmt.Errorf("core: rebuild page %d: write: %w", p, err)
-	}
-	return rebuilt, nil
-}
-
-// rebuildDataPageViaSolve is RebuildDataPage's fallback on QParity arrays
-// when the plain P route runs out of equations: the group is solved
-// through the describing index's P and Q equations together (unreachable
-// and corrupt members are erasures) and page p's value written back under
-// a header restored from the index's surviving redundancy header — P's if
-// readable, else its Q mirror.
-func (s *Store) rebuildDataPageViaSolve(g page.GroupID, p page.PageID, twin int, isDirtyPage bool, dirtyTxn page.TxID) (page.Buf, error) {
-	vals, err := s.SolveGroup(g, twin)
+	twin := s.describingTwin(g)
+	sol, err := s.SolveGroup(g, twin, Solve{Unknown: []page.PageID{p}, RepairP: true})
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuild page %d: %w", p, err)
 	}
-	var hdr disk.Meta
-	haveHdr := false
-	if s.paritySlotAlive(g, twin) {
-		if m, merr := s.Arr.ReadParityMeta(g, twin); merr == nil {
-			hdr, haveHdr = m, true
-		}
-	}
-	if !haveHdr && s.qSlotAlive(g, twin) {
-		if m, merr := s.Arr.ReadQMeta(g, twin); merr == nil {
-			hdr = m
-		}
-	}
+	hdr := s.indexHeader(g, twin, sol)
 	meta := disk.Meta{}
-	switch {
-	case isDirtyPage:
-		meta = disk.Meta{Txn: dirtyTxn, Timestamp: hdr.Timestamp}
-	case hdr.PairedSet && hdr.DirtyPage == p:
+	if hdr.PairedSet && hdr.DirtyPage == p {
 		meta = disk.Meta{Timestamp: hdr.Timestamp}
 	}
-	rebuilt := vals[s.groupIndexOf(g, p)]
+	if s.Dirty != nil {
+		if e, dirty := s.Dirty.Lookup(g); dirty && e.Page == p {
+			meta = disk.Meta{Txn: e.Txn, Timestamp: hdr.Timestamp}
+		}
+	}
+	rebuilt := sol.Val(p)
 	if err := s.Arr.WriteData(p, rebuilt, meta); err != nil {
 		return nil, fmt.Errorf("core: rebuild page %d: write: %w", p, err)
 	}
@@ -136,7 +54,7 @@ func (s *Store) rebuildDataPageViaSolve(g page.GroupID, p page.PageID, twin int,
 // redundancy cannot reconstruct the block, ErrUnrecoverableCorruption is
 // returned instead.
 func (s *Store) ReadPageRepair(p page.PageID) (page.Buf, error) {
-	if s.pageUnavailable(p) {
+	if s.PageUnavailable(p) {
 		return s.readDegraded(p)
 	}
 	b, _, err := s.Arr.ReadData(p)
@@ -149,9 +67,6 @@ func (s *Store) ReadPageRepair(p page.PageID) (page.Buf, error) {
 	s.deg.corruptDetected.Add(1)
 	rebuilt, rerr := s.RebuildDataPage(p)
 	if rerr != nil {
-		if errors.Is(rerr, ErrUnrecoverableCorruption) {
-			s.deg.unrecoverable.Add(1)
-		}
 		return nil, fmt.Errorf("core: read repair of page %d failed: %w (original: %v)", p, rerr, err)
 	}
 	s.deg.readRepairs.Add(1)

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
 	"repro/internal/disk"
 	"repro/internal/erasure"
 	"repro/internal/page"
-	"repro/internal/xorparity"
 )
 
 // ScrubReport summarizes a parity scrub pass.
@@ -39,7 +39,7 @@ type GroupScrub struct {
 	// degraded beyond what its spare redundancy can still check.  A
 	// degraded group on a QParity array is NOT skipped wholesale — its
 	// spare equation can still repair latent corruption on the readable
-	// members (scrubGroupDegraded).  The online scrubber retries skipped
+	// members (ScrubGroup).  The online scrubber retries skipped
 	// groups on the next cycle.
 	Skipped bool
 	// LatentErrors, Repaired and ParityRewritten are as in ScrubReport.
@@ -94,28 +94,22 @@ func (rep *ScrubReport) merge(res GroupScrub) {
 // the online scrubber.  A dirty group is skipped (not an error — it is
 // retried on the next scrub cycle); so is a degraded group on a
 // single-redundancy array, whose only equation is already consumed by
-// the dead disk.  A degraded group on a QParity array is instead handed
-// to scrubGroupDegraded: as long as the down disks leave a spare
-// equation, latent corruption on the readable members is still
-// repairable.  Everything else is verified end to end and silently
-// corrupt blocks are rewritten from the group's redundancy.  Corrupt
-// blocks beyond what the redundancy equations can solve return
-// ErrUnrecoverableCorruption.
-//
-// Repairs restore block headers: a rebuilt data page named by the
-// parity's committed-flip pairing gets the pairing timestamp back (so a
-// later degraded restart does not mistake the completed flip for a
-// broken one), and a repaired current parity twin keeps its persisted
-// header when only the payload rotted (checksum failure) or gets a fresh
-// committed header when the header itself is untrustworthy (misdirected
-// or lost write).  Q pages mirror their P partner's header (the
-// lockstep invariant).
+// the dead disk.  Everything else is read through the current index's
+// equations (repairGroup): silently corrupt blocks are rewritten from
+// the solved values, and corrupt blocks beyond what the equations can
+// solve return ErrUnrecoverableCorruption.  A degraded group on a
+// QParity array is repaired the same way — its spare equation still
+// covers latent corruption on the readable members, the repair that
+// turns a would-be ErrUnrecoverableCorruption read into a served one —
+// but no consistency verification is attempted beyond what the solve
+// itself proves: with members missing, a surviving equation cannot be
+// checked against the data without consuming the other one.  A healthy
+// group's equations are then verified against the data, stale ones
+// rewritten, and the obsolete twins checked for latent errors.
 func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 	var res GroupScrub
-	if s.GroupDegraded(g) {
-		if s.Arr.HasQ() {
-			return s.scrubGroupDegraded(g)
-		}
+	degraded := s.GroupDegraded(g)
+	if degraded && !s.Arr.HasQ() {
 		res.Skipped = true
 		return res, nil
 	}
@@ -125,155 +119,40 @@ func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 			return res, nil
 		}
 	}
-
-	pages := s.Arr.GroupPages(g)
-	data := make([]page.Buf, len(pages))
-	bad := -1
-	for i, p := range pages {
-		b, _, err := s.Arr.ReadData(p)
-		switch {
-		case err == nil:
-			data[i] = b
-		case disk.IsCorrupt(err):
-			res.LatentErrors++
-			s.deg.corruptDetected.Add(1)
-			if bad >= 0 {
-				s.deg.unrecoverable.Add(1)
-				return res, fmt.Errorf("core: group %d has two corrupt data blocks (%v): %w", g, err, ErrUnrecoverableCorruption)
-			}
-			bad = i
-		default:
-			return res, fmt.Errorf("core: scrub group %d: %w", g, err)
-		}
-	}
-
 	twin := s.currentTwin(g)
-	parity, pMeta, perr := s.Arr.ReadParity(g, twin)
-	if perr != nil {
-		if !disk.IsCorrupt(perr) {
-			return res, fmt.Errorf("core: scrub group %d parity: %w", g, perr)
+	sol, err := s.repairGroup(g, twin, true)
+	if err != nil {
+		return res, fmt.Errorf("core: scrub group %d: %w", g, err)
+	}
+	res.LatentErrors = sol.faults()
+	res.Repaired = res.LatentErrors
+	for _, i := range sol.Corrupt {
+		res.RepairedPages = append(res.RepairedPages, sol.Pages[i])
+	}
+	s.deg.scrubRepairs.Add(uint64(res.Repaired))
+	if degraded {
+		if res.Repaired > 0 {
+			s.deg.scrubbedGroups.Add(1)
 		}
-		res.LatentErrors++
-		s.deg.corruptDetected.Add(1)
+		return res, nil
 	}
 
-	switch {
-	case bad >= 0 && perr != nil:
-		// Both a data block and its P page rotted.  Single parity is out
-		// of equations; with a Q partner the data block solves through
-		// the Q equation, and P recomputes behind it under the Q header
-		// (the lockstep mirror of the header P lost).
-		if !s.Arr.HasQ() {
-			s.deg.unrecoverable.Add(1)
-			return res, fmt.Errorf("core: group %d lost both a data block and its parity (%v): %w", g, perr, ErrUnrecoverableCorruption)
-		}
-		qBuf, qMeta, qerr := s.Arr.ReadQ(g, twin)
-		if qerr != nil {
-			s.deg.unrecoverable.Add(1)
-			return res, fmt.Errorf("core: group %d lost a data block, its parity (%v) and its Q page (%v): %w", g, perr, qerr, ErrUnrecoverableCorruption)
-		}
-		raw := make([][]byte, len(data))
-		for i, b := range data {
-			raw[i] = b
-		}
-		rebuilt := page.Buf(erasure.ReconstructOneQ(qBuf, raw, bad))
-		meta := disk.Meta{}
-		if qMeta.PairedSet && qMeta.DirtyPage == pages[bad] {
-			meta = disk.Meta{Timestamp: qMeta.Timestamp}
-		}
-		if err := s.Arr.WriteData(pages[bad], rebuilt, meta); err != nil {
-			return res, fmt.Errorf("core: scrub repair page %d: %w", pages[bad], err)
-		}
-		data[bad] = rebuilt
-		pMeta = qMeta
-		if errors.Is(perr, disk.ErrChecksum) {
-			if m, merr := s.Arr.PeekParityMeta(g, twin); merr == nil {
-				pMeta = m
-			}
-		}
-		newP, err := s.recomputeParityFrom(g, twin, data, pMeta)
-		if err != nil {
-			return res, err
-		}
-		parity = newP
-		res.Repaired += 2
-		res.RepairedPages = append(res.RepairedPages, pages[bad])
-		s.deg.scrubRepairs.Add(2)
-	case bad >= 0:
-		// Rebuild the corrupt data block from parity + survivors,
-		// restoring a flip-pairing header if the parity names this page.
-		survivors := [][]byte{parity}
-		for i, b := range data {
-			if i != bad {
-				survivors = append(survivors, b)
-			}
-		}
-		meta := disk.Meta{}
-		if pMeta.PairedSet && pMeta.DirtyPage == pages[bad] {
-			meta = disk.Meta{Timestamp: pMeta.Timestamp}
-		}
-		rebuilt := xorparity.Reconstruct(s.Arr.PageSize(), survivors...)
-		if err := s.Arr.WriteData(pages[bad], rebuilt, meta); err != nil {
-			return res, fmt.Errorf("core: scrub repair page %d: %w", pages[bad], err)
-		}
-		res.Repaired++
-		res.RepairedPages = append(res.RepairedPages, pages[bad])
-		s.deg.scrubRepairs.Add(1)
-		data[bad] = rebuilt
-	case perr != nil:
-		// Rebuild the corrupt parity page from the data.  The persisted
-		// header survives a payload-only checksum failure; a misdirected
-		// or lost write leaves an untrustworthy header, so synthesize a
-		// fresh committed one (the group is clean here).
-		meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		if errors.Is(perr, disk.ErrChecksum) {
-			if m, merr := s.Arr.PeekParityMeta(g, twin); merr == nil {
-				meta = m
-			}
-		}
-		newP, err := s.recomputeParityFrom(g, twin, data, meta)
-		if err != nil {
-			return res, err
-		}
-		res.Repaired++
-		s.deg.scrubRepairs.Add(1)
-		parity, pMeta = newP, meta
-	}
-
-	// Verify parity correctness and rewrite if stale.
-	raw := make([][]byte, len(data))
-	for i, b := range data {
+	// Verify the current index against the data and rewrite it if stale.
+	raw := make([][]byte, len(sol.Vals))
+	for i, b := range sol.Vals {
 		raw[i] = b
 	}
-	if !xorparity.Verify(parity, raw...) {
-		if _, err := s.recomputeParityFrom(g, twin, data, pMeta); err != nil {
+	if !bytes.Equal(erasure.ComputeP(s.Arr.PageSize(), raw...), sol.P) {
+		if _, err := s.recomputeParityFrom(g, twin, sol.Vals, sol.PMeta); err != nil {
 			return res, err
 		}
 		res.ParityRewritten++
 	}
-
-	// The Q pages of a QParity array: the current index's Q must solve
-	// the same data state as its P partner; latent corruption and stale
-	// payloads are rewritten under the partner's header (lockstep).
-	if s.Arr.HasQ() {
-		qBuf, _, qerr := s.Arr.ReadQ(g, twin)
-		switch {
-		case qerr != nil && !disk.IsCorrupt(qerr):
-			return res, fmt.Errorf("core: scrub group %d Q: %w", g, qerr)
-		case qerr != nil:
-			res.LatentErrors++
-			s.deg.corruptDetected.Add(1)
-			if err := s.recomputeQFrom(g, twin, data, pMeta); err != nil {
-				return res, err
-			}
-			res.Repaired++
-			s.deg.scrubRepairs.Add(1)
-		case !erasure.VerifyQ(qBuf, raw...):
-			if err := s.recomputeQFrom(g, twin, data, pMeta); err != nil {
-				return res, err
-			}
-			res.ParityRewritten++
+	if sol.Q != nil && !erasure.VerifyQ(sol.Q, raw...) {
+		if err := s.recomputeQFrom(g, twin, sol.Vals, sol.PMeta); err != nil {
+			return res, err
 		}
+		res.ParityRewritten++
 	}
 
 	// The obsolete twin of a twinned array is also checked for latent
@@ -284,7 +163,7 @@ func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 			res.LatentErrors++
 			s.deg.corruptDetected.Add(1)
 			meta := disk.Meta{State: disk.StateObsolete, Timestamp: 0}
-			if _, err := s.recomputeParityFrom(g, other, data, meta); err != nil {
+			if _, err := s.recomputeParityFrom(g, other, sol.Vals, meta); err != nil {
 				return res, err
 			}
 			res.Repaired++
@@ -295,7 +174,7 @@ func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 				res.LatentErrors++
 				s.deg.corruptDetected.Add(1)
 				meta := disk.Meta{State: disk.StateObsolete, Timestamp: 0}
-				if err := s.recomputeQFrom(g, other, data, meta); err != nil {
+				if err := s.recomputeQFrom(g, other, sol.Vals, meta); err != nil {
 					return res, err
 				}
 				res.Repaired++
@@ -307,126 +186,111 @@ func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 	return res, nil
 }
 
-// scrubGroupDegraded scrubs a group that has blocks on down disks, on a
-// QParity array.  Unreachable members are the rebuild's job and are not
-// touched; the scrub's value while degraded is the spare equation: a
-// READABLE member that rotted is still two erasures (the dead block plus
-// the corrupt one) against the P and Q equations, which the solver
-// handles — the repair that turns a would-be ErrUnrecoverableCorruption
-// read into a served one.  Equation payloads of the current index are
-// likewise repaired when corrupt and their slots are alive.  No
-// consistency verification is attempted beyond what the solve itself
-// proves: with members missing, a surviving equation cannot be checked
-// against the data without consuming the other one.
-func (s *Store) scrubGroupDegraded(g page.GroupID) (GroupScrub, error) {
-	var res GroupScrub
-	if s.Dirty != nil {
-		if _, dirty := s.Dirty.Lookup(g); dirty {
-			res.Skipped = true
-			return res, nil
-		}
-	}
-	twin := s.currentTwin(g)
-	pages := s.Arr.GroupPages(g)
-
-	// Probe the readable members and the current index's alive equation
-	// slots for latent corruption.
-	var corrupt []int
-	for i, p := range pages {
-		if s.pageUnavailable(p) {
-			continue
-		}
-		if _, _, err := s.Arr.ReadData(p); err != nil {
-			if !disk.IsCorrupt(err) {
-				return res, fmt.Errorf("core: scrub group %d: %w", g, err)
-			}
-			res.LatentErrors++
-			corrupt = append(corrupt, i)
-		}
-	}
-	pCorrupt, qCorrupt := false, false
-	var pErr, qErr error
-	if s.paritySlotAlive(g, twin) {
-		if _, _, err := s.Arr.ReadParity(g, twin); disk.IsCorrupt(err) {
-			res.LatentErrors++
-			pCorrupt, pErr = true, err
-		}
-	}
-	if s.qSlotAlive(g, twin) {
-		if _, _, err := s.Arr.ReadQ(g, twin); disk.IsCorrupt(err) {
-			res.LatentErrors++
-			s.deg.corruptDetected.Add(1)
-			qCorrupt, qErr = true, err
-		}
-	}
-	if len(corrupt) == 0 && !pCorrupt && !qCorrupt {
-		return res, nil
-	}
-
-	// Solve the group through the current index.  SolveGroup treats the
-	// unreachable members, the corrupt readable ones and a corrupt P as
-	// erasures; if the count exceeds the reachable equations the typed
-	// ErrUnrecoverableCorruption propagates.
-	vals, err := s.SolveGroup(g, twin)
+// repairGroup solves group g under redundancy index `twin` and rewrites,
+// from the solved values, every block that failed verification: the
+// corrupt data members, and the index's corrupt P and Q pages.  The
+// alive P slot is always read (and with withQ the alive Q slot), even
+// when the solve did not need it, so its corruption is caught too.  A
+// rewritten data page named by the index's pairing header gets the echo
+// back.  A rewritten equation takes the index's header as it should
+// stand: the persisted one when only the payload rotted (a checksum
+// failure keeps the block's own header; a misdirected or lost write
+// leaves a foreign or stale one), else the intact partner's lockstep
+// mirror, else a fresh committed header.  On return sol.P (with its
+// header) holds what the alive P slot carries, and sol.faults() counts
+// the blocks rewritten.
+func (s *Store) repairGroup(g page.GroupID, twin int, withQ bool) (*Solution, error) {
+	sol, err := s.SolveGroup(g, twin, Solve{})
 	if err != nil {
-		return res, fmt.Errorf("core: scrub group %d: %w", g, err)
+		return nil, err
 	}
-
-	// Header for pairing restoration and equation rewrites: P's if its
-	// slot is alive and its header survived the fault (a checksum failure
-	// keeps the block's own header; a misdirected or lost write leaves a
-	// foreign or stale one), else the Q mirror, else a fresh committed
-	// header (the group is clean while degraded).
-	var hdr disk.Meta
-	haveHdr := false
-	if s.paritySlotAlive(g, twin) && (!pCorrupt || errors.Is(pErr, disk.ErrChecksum)) {
-		if m, merr := s.Arr.ReadParityMeta(g, twin); merr == nil {
-			hdr, haveHdr = m, true
+	probe := func(buf *page.Buf, meta *disk.Meta, perr *error, read func(page.GroupID, int) (page.Buf, disk.Meta, error)) error {
+		b, m, err := read(g, twin)
+		switch {
+		case err == nil:
+			*buf, *meta = b, m
+		case disk.IsCorrupt(err):
+			s.deg.corruptDetected.Add(1)
+			*perr = err
+		default:
+			return err
+		}
+		return nil
+	}
+	if sol.P == nil && sol.PErr == nil && s.ParitySlotAlive(g, twin) {
+		if err := probe(&sol.P, &sol.PMeta, &sol.PErr, s.Arr.ReadParity); err != nil {
+			return nil, fmt.Errorf("parity: %w", err)
 		}
 	}
-	if !haveHdr && s.qSlotAlive(g, twin) && (!qCorrupt || errors.Is(qErr, disk.ErrChecksum)) {
-		if m, merr := s.Arr.ReadQMeta(g, twin); merr == nil {
-			hdr, haveHdr = m, true
+	if withQ && sol.Q == nil && sol.QErr == nil && s.QSlotAlive(g, twin) {
+		if err := probe(&sol.Q, &sol.QMeta, &sol.QErr, s.Arr.ReadQ); err != nil {
+			return nil, fmt.Errorf("Q: %w", err)
 		}
 	}
-	if !haveHdr {
-		hdr = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
+	if sol.faults() == 0 {
+		return sol, nil
 	}
-
-	for _, i := range corrupt {
+	hdr := s.indexHeader(g, twin, sol)
+	for _, i := range sol.Corrupt {
+		p := sol.Pages[i]
 		meta := disk.Meta{}
-		if hdr.PairedSet && hdr.DirtyPage == pages[i] {
+		if hdr.PairedSet && hdr.DirtyPage == p {
 			meta = disk.Meta{Timestamp: hdr.Timestamp}
 		}
-		if err := s.Arr.WriteData(pages[i], vals[i], meta); err != nil {
-			return res, fmt.Errorf("core: scrub repair page %d: %w", pages[i], err)
+		if err := s.Arr.WriteData(p, sol.Vals[i], meta); err != nil {
+			return nil, fmt.Errorf("repair page %d: %w", p, err)
 		}
-		res.Repaired++
-		res.RepairedPages = append(res.RepairedPages, pages[i])
-		s.deg.scrubRepairs.Add(1)
 	}
-	raw := make([][]byte, len(vals))
-	for i, v := range vals {
-		raw[i] = v
-	}
-	if pCorrupt {
-		newP := xorparity.Compute(s.Arr.PageSize(), raw...)
-		if err := s.Arr.WriteParity(g, twin, newP, hdr); err != nil {
-			return res, fmt.Errorf("core: scrub rewrite parity of group %d: %w", g, err)
+	if sol.PErr != nil {
+		p, err := s.recomputeParityFrom(g, twin, sol.Vals, hdr)
+		if err != nil {
+			return nil, err
 		}
-		res.Repaired++
-		s.deg.scrubRepairs.Add(1)
+		sol.P, sol.PMeta = p, hdr
 	}
-	if qCorrupt {
-		newQ := erasure.ComputeQ(s.Arr.PageSize(), raw...)
-		if err := s.Arr.WriteQ(g, twin, newQ, hdr); err != nil {
-			return res, fmt.Errorf("core: scrub rewrite Q of group %d: %w", g, err)
+	if sol.QErr != nil {
+		if err := s.recomputeQFrom(g, twin, sol.Vals, hdr); err != nil {
+			return nil, err
 		}
-		res.Repaired++
-		s.deg.scrubRepairs.Add(1)
 	}
-	s.deg.scrubbedGroups.Add(1)
-	return res, nil
+	return sol, nil
+}
+
+// faults counts the blocks the solve (and repairGroup's probes) found
+// failing verification: corrupt data members and equations.
+func (sol *Solution) faults() int {
+	n := len(sol.Corrupt)
+	for _, err := range []error{sol.PErr, sol.QErr} {
+		if err != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// indexHeader returns the header index `twin` of group g should carry,
+// judged from what the solve read: the intact P page's, else the P
+// page's own header when a checksum failure left it intact, else the
+// intact Q mirror's, else the Q page's own under a checksum failure,
+// else a fresh committed one.
+func (s *Store) indexHeader(g page.GroupID, twin int, sol *Solution) disk.Meta {
+	if sol.P != nil {
+		return sol.PMeta
+	}
+	if errors.Is(sol.PErr, disk.ErrChecksum) {
+		if m, err := s.Arr.PeekParityMeta(g, twin); err == nil {
+			return m
+		}
+	}
+	if sol.Q != nil {
+		return sol.QMeta
+	}
+	if errors.Is(sol.QErr, disk.ErrChecksum) {
+		if m, err := s.Arr.PeekQMeta(g, twin); err == nil {
+			return m
+		}
+	}
+	return disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
 }
 
 // recomputeParityFrom rewrites parity twin `twin` of group g as the XOR
@@ -437,9 +301,9 @@ func (s *Store) recomputeParityFrom(g page.GroupID, twin int, data []page.Buf, m
 	for i, b := range data {
 		raw[i] = b
 	}
-	parity := page.Buf(xorparity.Compute(s.Arr.PageSize(), raw...))
+	parity := page.Buf(erasure.ComputeP(s.Arr.PageSize(), raw...))
 	if err := s.Arr.WriteParity(g, twin, parity, meta); err != nil {
-		return nil, fmt.Errorf("core: scrub rewrite parity of group %d: %w", g, err)
+		return nil, fmt.Errorf("core: rewrite parity of group %d: %w", g, err)
 	}
 	return parity, nil
 }
@@ -453,7 +317,7 @@ func (s *Store) recomputeQFrom(g page.GroupID, twin int, data []page.Buf, meta d
 	}
 	q := erasure.ComputeQ(s.Arr.PageSize(), raw...)
 	if err := s.Arr.WriteQ(g, twin, q, meta); err != nil {
-		return fmt.Errorf("core: scrub rewrite Q of group %d: %w", g, err)
+		return fmt.Errorf("core: rewrite Q of group %d: %w", g, err)
 	}
 	return nil
 }

@@ -20,6 +20,7 @@
 package diskarray
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -28,7 +29,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/erasure"
 	"repro/internal/page"
-	"repro/internal/xorparity"
 )
 
 // Kind selects the array organization.
@@ -816,7 +816,7 @@ func (a *Array) RecomputeParity(g page.GroupID, twin int, meta disk.Meta) error 
 	for i, b := range blocks {
 		raw[i] = b
 	}
-	parity := xorparity.Compute(a.cfg.PageSize, raw...)
+	parity := erasure.ComputeP(a.cfg.PageSize, raw...)
 	return a.WriteParity(g, twin, parity, meta)
 }
 
@@ -852,7 +852,7 @@ func (a *Array) VerifyGroup(g page.GroupID, twin int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return xorparity.Verify(parity, raw...), nil
+	return bytes.Equal(erasure.ComputeP(a.cfg.PageSize, raw...), parity), nil
 }
 
 // VerifyGroupQ reports whether the given twin's Q page equals the
@@ -873,86 +873,4 @@ func (a *Array) VerifyGroupQ(g page.GroupID, twin int) (bool, error) {
 		return false, err
 	}
 	return erasure.VerifyQ(q, raw...), nil
-}
-
-// ReconstructDisk rebuilds every block of a failed-and-replaced disk from
-// the surviving members of each affected parity group, using validTwin to
-// pick the authoritative parity page per group (pass nil to always use
-// twin 0, which is correct for single-parity arrays and for twinned
-// arrays in a fully committed state where the caller has ensured twin 0
-// is current).
-//
-// Data blocks are reconstructed as XOR(valid parity, other data pages).
-// Parity blocks are recomputed as XOR(all data pages); the metadata for a
-// rebuilt parity block is taken from metaFor (or a committed header with
-// timestamp 0 if metaFor is nil).
-func (a *Array) ReconstructDisk(d int, validTwin func(page.GroupID) int, metaFor func(page.GroupID, int) disk.Meta) error {
-	if d < 0 || d >= len(a.disks) {
-		return fmt.Errorf("diskarray: no disk %d", d)
-	}
-	if a.disks[d].Failed() {
-		return fmt.Errorf("diskarray: disk %d must be repaired (replaced) before reconstruction", d)
-	}
-	for g := 0; g < a.numGroups; g++ {
-		gid := page.GroupID(g)
-		// Rebuild parity blocks that lived on d.
-		for twin := 0; twin < a.parities; twin++ {
-			loc := a.ParityLoc(gid, twin)
-			if loc.Disk != d {
-				continue
-			}
-			meta := disk.Meta{State: disk.StateCommitted, Timestamp: 0}
-			if metaFor != nil {
-				meta = metaFor(gid, twin)
-			}
-			if err := a.RecomputeParity(gid, twin, meta); err != nil {
-				return fmt.Errorf("diskarray: rebuild parity of group %d: %w", g, err)
-			}
-		}
-		// Rebuild Q blocks that lived on d.
-		for twin := 0; twin < a.qparities; twin++ {
-			loc := a.QLoc(gid, twin)
-			if loc.Disk != d {
-				continue
-			}
-			meta := disk.Meta{State: disk.StateCommitted, Timestamp: 0}
-			if metaFor != nil {
-				meta = metaFor(gid, twin)
-			}
-			if err := a.RecomputeQ(gid, twin, meta); err != nil {
-				return fmt.Errorf("diskarray: rebuild Q of group %d: %w", g, err)
-			}
-		}
-		// Rebuild the data block of g that lived on d, if any.
-		for _, p := range a.GroupPages(gid) {
-			loc := a.DataLoc(p)
-			if loc.Disk != d {
-				continue
-			}
-			twin := 0
-			if validTwin != nil {
-				twin = validTwin(gid)
-			}
-			parity, _, err := a.ReadParity(gid, twin)
-			if err != nil {
-				return fmt.Errorf("diskarray: read parity of group %d: %w", g, err)
-			}
-			survivors := [][]byte{parity}
-			for _, q := range a.GroupPages(gid) {
-				if q == p {
-					continue
-				}
-				b, _, err := a.ReadData(q)
-				if err != nil {
-					return fmt.Errorf("diskarray: read survivor %d: %w", q, err)
-				}
-				survivors = append(survivors, b)
-			}
-			rebuilt := xorparity.Reconstruct(a.cfg.PageSize, survivors...)
-			if err := a.WriteData(p, rebuilt, disk.Meta{}); err != nil {
-				return fmt.Errorf("diskarray: write rebuilt page %d: %w", p, err)
-			}
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package diskarray
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -205,72 +204,6 @@ func TestStorageOverhead(t *testing.T) {
 	}
 }
 
-func fillRandom(t *testing.T, a *Array, seed int64) map[page.PageID]page.Buf {
-	t.Helper()
-	r := rand.New(rand.NewSource(seed))
-	contents := make(map[page.PageID]page.Buf)
-	for p := 0; p < a.NumPages(); p++ {
-		buf := page.NewBuf(a.PageSize())
-		r.Read(buf)
-		pid := page.PageID(p)
-		if err := a.WriteData(pid, buf, disk.Meta{}); err != nil {
-			t.Fatal(err)
-		}
-		contents[pid] = buf
-	}
-	for g := 0; g < a.NumGroups(); g++ {
-		for twin := 0; twin < a.ParityPages(); twin++ {
-			meta := disk.Meta{State: disk.StateCommitted, Timestamp: 1}
-			if twin == 1 {
-				meta.State = disk.StateObsolete
-			}
-			if err := a.RecomputeParity(page.GroupID(g), twin, meta); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return contents
-}
-
-func TestMediaRecoveryAllKindsAllDisks(t *testing.T) {
-	for _, kind := range allKinds {
-		a := mustNew(t, kind, 3, 24, page.MinSize)
-		contents := fillRandom(t, a, int64(kind)+10)
-		for d := 0; d < a.NumDisks(); d++ {
-			if err := a.FailDisk(d); err != nil {
-				t.Fatal(err)
-			}
-			if !a.DiskFailed(d) {
-				t.Fatalf("%v: disk %d should be failed", kind, d)
-			}
-			if err := a.RepairDisk(d); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.ReconstructDisk(d, nil, nil); err != nil {
-				t.Fatalf("%v: reconstruct disk %d: %v", kind, d, err)
-			}
-			for p, want := range contents {
-				got, err := a.PeekData(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("%v: after rebuilding disk %d, page %d corrupted", kind, d, p)
-				}
-			}
-			for g := 0; g < a.NumGroups(); g++ {
-				ok, err := a.VerifyGroup(page.GroupID(g), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					t.Fatalf("%v: after rebuilding disk %d, group %d parity invalid", kind, d, g)
-				}
-			}
-		}
-	}
-}
-
 func TestFailedDiskIO(t *testing.T) {
 	a := mustNew(t, RAID5, 3, 12, page.MinSize)
 	d := a.DataLoc(0).Disk
@@ -279,9 +212,6 @@ func TestFailedDiskIO(t *testing.T) {
 	}
 	if _, _, err := a.ReadData(0); !errors.Is(err, disk.ErrFailed) {
 		t.Fatalf("read from failed disk: err = %v, want ErrFailed", err)
-	}
-	if err := a.ReconstructDisk(d, nil, nil); err == nil {
-		t.Fatalf("ReconstructDisk must refuse to run on a still-failed disk")
 	}
 }
 

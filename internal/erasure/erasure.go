@@ -12,21 +12,23 @@
 // primitive polynomial x⁸+x⁴+x³+x²+1 (0x11d) and · is field
 // multiplication applied byte-wise.  P alone recovers any single missing
 // block; P and Q together recover any two.  Because addition in GF(2^8)
-// is XOR, the P equation here is bit-identical to package xorparity — the
-// single-parity array is exactly the m = 1 special case of this code, and
-// xorparity now delegates to this package.
+// is XOR, the P equation is plain XOR parity — the single-parity array
+// is exactly the m = 1 special case of this code.
 //
 // The algebra the engine uses:
 //
 //   - small write: P' = P ⊕ D_old ⊕ D_new and Q' = Q ⊕ g^i·(D_old ⊕ D_new)
 //     — neither update needs any other member of the group;
+//   - twin undo (the paper's Figure 6): D_old = (P ⊕ P′) ⊕ D_new;
+//   - one data block missing, P intact: it is the XOR of P and the
+//     surviving data blocks;
 //   - one data block i missing, P lost: D_i = g^{-i}·(Q ⊕ Σ_{k≠i} g^k·D_k);
 //   - two data blocks i < j missing: with the partial sums
 //     S_p = P ⊕ Σ_{k∉{i,j}} D_k and S_q = Q ⊕ Σ_{k∉{i,j}} g^k·D_k,
 //     D_i = (g^j·S_p ⊕ S_q) / (g^i ⊕ g^j) and D_j = S_p ⊕ D_i.
 //
 // All functions operate on equal-length byte slices; length mismatches
-// panic, as in xorparity, because they indicate a storage-layer bug.
+// panic, because they indicate a storage-layer bug.
 package erasure
 
 import "fmt"
@@ -94,8 +96,7 @@ func check(a, b []byte) {
 	}
 }
 
-// AddInto computes dst ^= src in place — field addition, identical to
-// xorparity.XorInto.
+// AddInto computes dst ^= src in place — field addition, which is XOR.
 func AddInto(dst, src []byte) {
 	check(dst, src)
 	for i := range dst {
@@ -150,8 +151,15 @@ func MulInto(dst []byte, c byte) {
 // blocks count as zero pages, so callers can pass a group with holes.
 func ComputeP(size int, blocks ...[]byte) []byte {
 	out := make([]byte, size)
+	first := true
 	for _, b := range blocks {
-		if b != nil {
+		switch {
+		case b == nil:
+		case first:
+			check(out, b)
+			copy(out, b) // XOR into zeroes is a copy
+			first = false
+		default:
 			AddInto(out, b)
 		}
 	}
@@ -176,7 +184,7 @@ func ComputeQ(size int, blocks ...[]byte) []byte {
 //
 //	Q' = Q ⊕ g^idx·(D_old ⊕ D_new)
 //
-// the Q-side counterpart of xorparity.SmallWrite, needing no other group
+// the Q-side counterpart of the P small write, needing no other group
 // member.
 func QSmallWrite(qOld, dataOld, dataNew []byte, idx int) []byte {
 	check(qOld, dataOld)

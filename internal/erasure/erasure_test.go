@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/erasure"
-	"repro/internal/xorparity"
 )
 
 // TestFieldAxioms spot-checks the ring structure the reconstruction
@@ -38,42 +38,151 @@ func randStripe(rng *rand.Rand, k, size int) [][]byte {
 	return blocks
 }
 
-// TestXorPathByteIdentical pins the satellite contract: the P equation of
-// the erasure code is byte-for-byte the XOR parity the engine has always
-// computed, and the xorparity facade returns identical results through
-// every entry point.
-func TestXorPathByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
-		k := 1 + rng.Intn(12)
-		size := 16 + rng.Intn(64)
-		blocks := randStripe(rng, k, size)
-		plain := make([]byte, size)
-		for _, b := range blocks {
-			for i := range plain {
-				plain[i] ^= b[i]
-			}
-		}
-		if got := erasure.ComputeP(size, blocks...); !bytes.Equal(got, plain) {
-			t.Fatalf("ComputeP diverges from plain XOR")
-		}
-		if got := xorparity.Compute(size, blocks...); !bytes.Equal(got, plain) {
-			t.Fatalf("xorparity.Compute diverges from plain XOR")
-		}
-		if !xorparity.Verify(plain, blocks...) {
-			t.Fatalf("xorparity.Verify rejects its own parity")
-		}
-		dNew := make([]byte, size)
-		rng.Read(dNew)
-		sw := xorparity.SmallWrite(plain, blocks[0], dNew)
-		want := make([]byte, size)
-		for i := range want {
-			want[i] = plain[i] ^ blocks[0][i] ^ dNew[i]
-		}
-		if !bytes.Equal(sw, want) {
-			t.Fatalf("xorparity.SmallWrite diverges from plain XOR")
+// plainXor is the byte-at-a-time XOR of the given equal-length blocks —
+// the reference every P-equation identity below is checked against.
+func plainXor(size int, blocks ...[]byte) []byte {
+	out := make([]byte, size)
+	for _, b := range blocks {
+		for i := range out {
+			out[i] ^= b[i]
 		}
 	}
+	return out
+}
+
+// TestXorPathByteIdentical pins the P equation of the erasure code to
+// plain XOR parity, byte for byte, and checks the three identities the
+// paper's recovery actions rest on — the small-write update
+// P_new = P ⊕ D_old ⊕ D_new (Section 3.1), the twin undo
+// D_old = (P ⊕ P′) ⊕ D_new (Figure 6) and media reconstruction (a lost
+// block is the XOR of its group's survivors) — as the engine computes
+// them through ComputeP and AddInto.
+func TestXorPathByteIdentical(t *testing.T) {
+	t.Run("ComputeP", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		for trial := 0; trial < 200; trial++ {
+			k := 1 + rng.Intn(12)
+			size := 16 + rng.Intn(64)
+			blocks := randStripe(rng, k, size)
+			if got := erasure.ComputeP(size, blocks...); !bytes.Equal(got, plainXor(size, blocks...)) {
+				t.Fatalf("ComputeP diverges from plain XOR")
+			}
+			acc := make([]byte, size)
+			for _, b := range blocks {
+				erasure.AddInto(acc, b)
+			}
+			if !bytes.Equal(acc, plainXor(size, blocks...)) {
+				t.Fatalf("AddInto accumulation diverges from plain XOR")
+			}
+			// Nil blocks are holes that count as zero pages, wherever
+			// they sit (a group with erased members).
+			holes := append([][]byte(nil), blocks...)
+			var present [][]byte
+			for i := range holes {
+				if rng.Intn(3) == 0 {
+					holes[i] = nil
+				} else {
+					present = append(present, holes[i])
+				}
+			}
+			if got := erasure.ComputeP(size, holes...); !bytes.Equal(got, plainXor(size, present...)) {
+				t.Fatalf("ComputeP over a group with holes diverges from plain XOR")
+			}
+		}
+	})
+	t.Run("ComputeEmpty", func(t *testing.T) {
+		if !bytes.Equal(erasure.ComputeP(16), make([]byte, 16)) {
+			t.Fatalf("parity of no blocks must be zero")
+		}
+	})
+	t.Run("SmallWriteMatchesRecompute", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		const size, n = 256, 5
+		group := randStripe(rng, n, size)
+		parity := erasure.ComputeP(size, group...)
+		for step := 0; step < 50; step++ {
+			i := rng.Intn(n)
+			dNew := randStripe(rng, 1, size)[0]
+			parity = erasure.ComputeP(size, parity, group[i], dNew) // P ⊕ D_old ⊕ D_new
+			group[i] = dNew
+			if !bytes.Equal(parity, plainXor(size, group...)) {
+				t.Fatalf("step %d: small-write parity diverged from full recompute", step)
+			}
+		}
+	})
+	t.Run("UndoTwinRecoversBeforeImage", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		const size, n = 128, 4
+		group := randStripe(rng, n, size)
+		committed := erasure.ComputeP(size, group...)
+		dOld := group[2]
+		dNew := randStripe(rng, 1, size)[0]
+		working := erasure.ComputeP(size, committed, dOld, dNew)
+		if got := erasure.ComputeP(size, committed, working, dNew); !bytes.Equal(got, dOld) {
+			t.Fatalf("twin undo did not recover the before-image")
+		}
+		if got := erasure.ComputeP(size, working, committed, dNew); !bytes.Equal(got, dOld) {
+			t.Fatalf("twin undo must be symmetric in its parity arguments")
+		}
+	})
+	t.Run("QuickSmallWriteUndoRoundTrip", func(t *testing.T) {
+		// For any group state and any overwrite, (P ⊕ P′) ⊕ D_new == D_old.
+		f := func(a, b, c, dOld, dNew [48]byte) bool {
+			committed := erasure.ComputeP(48, a[:], b[:], c[:], dOld[:])
+			working := erasure.ComputeP(48, committed, dOld[:], dNew[:])
+			return bytes.Equal(erasure.ComputeP(48, committed, working, dNew[:]), dOld[:])
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("ReconstructLostBlock", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		const size, n = 64, 7
+		group := randStripe(rng, n, size)
+		parity := erasure.ComputeP(size, group...)
+		for lost := 0; lost < n; lost++ {
+			survivors := [][]byte{parity}
+			for i, b := range group {
+				if i != lost {
+					survivors = append(survivors, b)
+				}
+			}
+			if got := erasure.ComputeP(size, survivors...); !bytes.Equal(got, group[lost]) {
+				t.Fatalf("failed to reconstruct data block %d", lost)
+			}
+		}
+		if got := erasure.ComputeP(size, group...); !bytes.Equal(got, parity) {
+			t.Fatalf("failed to reconstruct the parity block")
+		}
+	})
+	t.Run("XorProperties", func(t *testing.T) {
+		type blocks struct{ A, B, C [32]byte }
+		xor := func(a, b []byte) []byte { return erasure.ComputeP(len(a), a, b) }
+		for name, f := range map[string]func(blocks) bool{
+			"selfInverse": func(in blocks) bool {
+				return bytes.Equal(xor(xor(in.A[:], in.B[:]), in.B[:]), in.A[:])
+			},
+			"commutative": func(in blocks) bool {
+				return bytes.Equal(xor(in.A[:], in.B[:]), xor(in.B[:], in.A[:]))
+			},
+			"associative": func(in blocks) bool {
+				return bytes.Equal(xor(xor(in.A[:], in.B[:]), in.C[:]), xor(in.A[:], xor(in.B[:], in.C[:])))
+			},
+		} {
+			if err := quick.Check(f, nil); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
+	})
+	t.Run("AddIntoPanicsOnMismatch", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("expected panic on length mismatch")
+			}
+		}()
+		erasure.AddInto(make([]byte, 4), make([]byte, 5))
+	})
 }
 
 // TestQSmallWriteMatchesRecompute checks the incremental Q update against

@@ -85,6 +85,7 @@ type lockState struct {
 type waiter struct {
 	tx   page.TxID
 	mode Mode
+	res  Resource
 	// granted or aborted is signalled through ch.
 	ch chan error
 }
@@ -93,27 +94,29 @@ type waiter struct {
 type Manager struct {
 	mu    sync.Mutex
 	locks map[Resource]*lockState
-	// waitsFor[a] = set of transactions a is waiting on.
-	waitsFor map[page.TxID]map[page.TxID]struct{}
-	closed   bool
+	// waiting[tx] is tx's queued request; Acquire blocks, so a
+	// transaction waits on at most one resource at a time.
+	waiting map[page.TxID]*waiter
+	closed  bool
 }
 
 // New creates an empty lock manager.
 func New() *Manager {
 	return &Manager{
-		locks:    make(map[Resource]*lockState),
-		waitsFor: make(map[page.TxID]map[page.TxID]struct{}),
+		locks:   make(map[Resource]*lockState),
+		waiting: make(map[page.TxID]*waiter),
 	}
 }
+
+// conflicts reports whether locks of modes a and b cannot be held
+// together.
+func conflicts(a, b Mode) bool { return a == Exclusive || b == Exclusive }
 
 // compatible reports whether a new request of mode m by tx can be granted
 // given the current holders.
 func compatible(st *lockState, tx page.TxID, m Mode) bool {
 	for holder, hm := range st.holders {
-		if holder == tx {
-			continue // own lock: upgrade handled by caller
-		}
-		if m == Exclusive || hm == Exclusive {
+		if holder != tx && conflicts(m, hm) { // own lock: upgrade handled by caller
 			return false
 		}
 	}
@@ -149,56 +152,62 @@ func (m *Manager) Acquire(tx page.TxID, res Resource, mode Mode) error {
 		m.mu.Unlock()
 		return nil
 	}
-	// Must wait: record the waits-for edges and check for a cycle.
-	w := &waiter{tx: tx, mode: mode, ch: make(chan error, 1)}
-	blockers := make(map[page.TxID]struct{})
-	for holder := range st.holders {
-		if holder != tx {
-			blockers[holder] = struct{}{}
-		}
-	}
-	for _, qw := range st.queue {
-		if qw.tx != tx {
-			blockers[qw.tx] = struct{}{}
-		}
-	}
-	m.waitsFor[tx] = blockers
-	if m.cycleFrom(tx) {
-		delete(m.waitsFor, tx)
+	// Must wait: queue the request, then refuse it if it closes a cycle.
+	w := &waiter{tx: tx, mode: mode, res: res, ch: make(chan error, 1)}
+	st.queue = append(st.queue, w)
+	m.waiting[tx] = w
+	if m.deadlocked(w) {
+		st.queue = st.queue[:len(st.queue)-1]
+		delete(m.waiting, tx)
 		m.mu.Unlock()
 		return fmt.Errorf("%w: txn %d on %s", ErrDeadlock, tx, res)
 	}
-	st.queue = append(st.queue, w)
 	m.mu.Unlock()
-
-	err := <-w.ch
-	return err
+	return <-w.ch
 }
 
-// cycleFrom reports whether the waits-for graph contains a cycle
-// reachable from start.
-func (m *Manager) cycleFrom(start page.TxID) bool {
+// blockers returns the transactions queued request w waits for, read off
+// the live table: the holders of its resource whose locks conflict with
+// the request, and the earlier waiters in the resource's queue whose
+// requests do (FIFO wake grants none past them).
+func (m *Manager) blockers(w *waiter) []page.TxID {
+	st := m.locks[w.res]
+	var out []page.TxID
+	for holder, hm := range st.holders {
+		if holder != w.tx && conflicts(w.mode, hm) {
+			out = append(out, holder)
+		}
+	}
+	for _, qw := range st.queue {
+		if qw == w {
+			break
+		}
+		if qw.tx != w.tx && conflicts(w.mode, qw.mode) {
+			out = append(out, qw.tx)
+		}
+	}
+	return out
+}
+
+// deadlocked reports whether queued request w closes a cycle in the
+// waits-for graph.  The edges are derived from the live table at check
+// time, so a grant or release since any transaction enqueued can never
+// leave a stale edge behind.
+func (m *Manager) deadlocked(w *waiter) bool {
 	seen := make(map[page.TxID]bool)
-	var visit func(tx page.TxID) bool
-	visit = func(tx page.TxID) bool {
-		if tx == start && len(seen) > 0 {
+	stack := m.blockers(w)
+	for len(stack) > 0 {
+		tx := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if tx == w.tx {
 			return true
 		}
 		if seen[tx] {
-			return false
+			continue
 		}
 		seen[tx] = true
-		for next := range m.waitsFor[tx] {
-			if visit(next) {
-				return true
-			}
-		}
-		return false
-	}
-	for next := range m.waitsFor[start] {
-		seen[start] = true
-		if visit(next) {
-			return true
+		if next := m.waiting[tx]; next != nil {
+			stack = append(stack, m.blockers(next)...)
 		}
 	}
 	return false
@@ -210,13 +219,13 @@ func (m *Manager) cycleFrom(start page.TxID) bool {
 func (m *Manager) ReleaseAll(tx page.TxID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.waitsFor, tx)
 	for res, st := range m.locks {
 		delete(st.holders, tx)
 		for i := 0; i < len(st.queue); {
 			if st.queue[i].tx == tx {
 				w := st.queue[i]
 				st.queue = append(st.queue[:i], st.queue[i+1:]...)
+				delete(m.waiting, tx)
 				w.ch <- ErrClosed // cancelled; the txn is going away anyway
 				continue
 			}
@@ -238,12 +247,7 @@ func (m *Manager) wake(res Resource, st *lockState) {
 		}
 		st.queue = st.queue[1:]
 		st.holders[w.tx] = w.mode
-		// The waiter no longer waits on anyone.
-		delete(m.waitsFor, w.tx)
-		// Other waiters' blocker sets may reference w.tx as a waiter; the
-		// sets are rebuilt lazily on each Acquire, and cycle checks only
-		// ever over-approximate briefly, which is safe (spurious victim
-		// at worst).
+		delete(m.waiting, w.tx)
 		w.ch <- nil
 	}
 }
@@ -261,7 +265,7 @@ func (m *Manager) Close() {
 		st.queue = nil
 	}
 	m.locks = make(map[Resource]*lockState)
-	m.waitsFor = make(map[page.TxID]map[page.TxID]struct{})
+	m.waiting = make(map[page.TxID]*waiter)
 }
 
 // Holds reports whether tx currently holds res in at least the given

@@ -37,9 +37,10 @@
 package recovery
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -50,7 +51,6 @@ import (
 	"repro/internal/record"
 	"repro/internal/wal"
 	"repro/internal/workpool"
-	"repro/internal/xorparity"
 )
 
 // Outcome classifies a transaction from the log.
@@ -408,7 +408,7 @@ func crashUndoWorking(s *core.Store, a *Analysis, w core.WorkingTwinInfo, rep *R
 			// The committed P twin died with its disk, but its Q partner
 			// survives and describes the same pre-transaction state:
 			// D_old solves through the Q equation directly.
-			dOld, err := s.ReconstructDataAny(w.Group, w.Page, 1-w.Twin)
+			dOld, err := s.ReconstructData(w.Group, w.Page, 1-w.Twin)
 			if err == nil {
 				if err := s.Arr.WriteData(w.Page, dOld, disk.Meta{}); err != nil {
 					return fmt.Errorf("recovery: undo page %d via Q: %w", w.Page, err)
@@ -448,7 +448,7 @@ func crashUndoWorking(s *core.Store, a *Analysis, w core.WorkingTwinInfo, rep *R
 		// — against two unknowns, the before-image and the dead sibling.
 		// The committed P and Q together solve both; with single twin
 		// parity it is one surviving equation and the group is lost.
-		if dOld, ok := undoResteal(s, w); ok {
+		if dOld, ok := solveOverDeadSibling(s, w.Group, w.Page, 1-w.Twin); ok {
 			if err := s.Arr.WriteData(w.Page, dOld, disk.Meta{}); err != nil {
 				return fmt.Errorf("recovery: undo page %d via P+Q: %w", w.Page, err)
 			}
@@ -472,66 +472,22 @@ func crashUndoWorking(s *core.Store, a *Analysis, w core.WorkingTwinInfo, rep *R
 	return nil
 }
 
-// undoResteal solves the before-image of a re-stolen page whose group
-// also lost a sibling data page to a down disk, using the committed
-// index's P and Q equations together — two equations, two unknowns (the
-// before-image and the dead sibling's value).  Reports false when the
-// array has no Q redundancy or the committed index's slots do not both
-// survive.
-func undoResteal(s *core.Store, w core.WorkingTwinInfo) (page.Buf, bool) {
-	return solvePairFromIndex(s, w.Group, w.Page, 1-w.Twin)
-}
-
-// solvePairFromIndex solves data page p of group g from index `from`'s P
-// and Q equations, treating p itself AND the group's one dead data page
-// as the two unknowns — the value returned for p is whatever `from`
-// describes, regardless of p's platter contents.  Reports false when the
-// array has no Q redundancy, either of the index's slots is dead, or a
-// third unknown exceeds the two equations.
-func solvePairFromIndex(s *core.Store, g page.GroupID, p page.PageID, from int) (page.Buf, bool) {
+// solveOverDeadSibling returns the value index `from` describes for
+// data page p of group g when the group also lost a data sibling to a
+// down disk — two unknowns, which only the index's P and Q equations
+// together determine.  Reports false on arrays without Q redundancy (no
+// reads are spent) and when the index's equations do not reach.  A
+// corrupt equation is an erasure here, never repaired: a repair would
+// recompute over the dead sibling.
+func solveOverDeadSibling(s *core.Store, g page.GroupID, p page.PageID, from int) (page.Buf, bool) {
 	if !s.Arr.HasQ() {
 		return nil, false
 	}
-	if !s.TwinReadable(g, from) || !s.QTwinReadable(g, from) {
-		return nil, false
-	}
-	pBuf, _, err := s.Arr.ReadParity(g, from)
+	sol, err := s.SolveGroup(g, from, core.Solve{Unknown: []page.PageID{p}})
 	if err != nil {
 		return nil, false
 	}
-	qBuf, _, err := s.Arr.ReadQ(g, from)
-	if err != nil {
-		return nil, false
-	}
-	pages := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	i, j := -1, -1
-	for k, q := range pages {
-		switch {
-		case q == p:
-			i = k
-		case s.PageUnavailable(q):
-			if j >= 0 {
-				return nil, false // a third unknown exceeds the equations
-			}
-			j = k
-		default:
-			b, _, rerr := s.Arr.ReadData(q)
-			if rerr != nil {
-				return nil, false
-			}
-			raw[k] = b
-		}
-	}
-	if i < 0 || j < 0 {
-		return nil, false
-	}
-	if i > j {
-		_, dj := erasure.ReconstructTwo(pBuf, qBuf, raw, j, i)
-		return page.Buf(dj), true
-	}
-	di, _ := erasure.ReconstructTwo(pBuf, qBuf, raw, i, j)
-	return page.Buf(di), true
+	return sol.Val(p), true
 }
 
 // undoDeadTwinLosers finds loser steals whose working twin sat on the
@@ -595,7 +551,7 @@ func undoDeadTwinLosers(s *core.Store, a *Analysis, handled map[page.GroupID]boo
 			// restored state, so no recompute may touch them (a recompute
 			// would consult the reset twin bitmap this early in recovery).
 			if deadSib := groupLostData(s, gid, p); deadSib {
-				dOld, ok := solvePairFromIndex(s, gid, p, undoFrom)
+				dOld, ok := solveOverDeadSibling(s, gid, p, undoFrom)
 				if !ok {
 					lost, lerr := loseGroup(s, gid, []page.PageID{p})
 					if lerr != nil {
@@ -610,7 +566,7 @@ func undoDeadTwinLosers(s *core.Store, a *Analysis, handled map[page.GroupID]boo
 				rep.UndoneViaReconstruction++
 				continue
 			}
-			dOld, err := s.ReconstructDataAny(gid, p, undoFrom)
+			dOld, err := s.ReconstructData(gid, p, undoFrom)
 			if err != nil {
 				return fmt.Errorf("recovery: tag undo of page %d: %w", p, err)
 			}
@@ -666,7 +622,6 @@ func loseGroup(s *core.Store, g page.GroupID, zero []page.PageID) ([]page.PageID
 	}
 	pages := s.Arr.GroupPages(g)
 	vals := make([][]byte, len(pages))
-	var blocks [][]byte
 	for i, q := range pages {
 		if s.PageUnavailable(q) {
 			lost = append(lost, q)
@@ -677,12 +632,11 @@ func loseGroup(s *core.Store, g page.GroupID, zero []page.PageID) ([]page.PageID
 			return nil, fmt.Errorf("recovery: read lost group %d page %d: %w", g, q, err)
 		}
 		vals[i] = b
-		blocks = append(blocks, b)
 	}
-	parity := page.Buf(xorparity.Compute(s.Arr.PageSize(), blocks...))
+	// Positional: a lost member contributes zero to either equation.
+	parity := page.Buf(erasure.ComputeP(s.Arr.PageSize(), vals...))
 	var qParity page.Buf
 	if s.Arr.HasQ() {
-		// Positional: a lost member contributes zero to its coefficient.
 		qParity = page.Buf(erasure.ComputeQ(s.Arr.PageSize(), vals...))
 	}
 	first := true
@@ -859,7 +813,7 @@ func repairTornQ(s *core.Store, g page.GroupID, twin int) error {
 		}
 		raw[i] = b
 	}
-	if xorparity.Verify(pBuf, raw...) {
+	if bytes.Equal(erasure.ComputeP(s.Arr.PageSize(), raw...), pBuf) {
 		q := erasure.ComputeQ(s.Arr.PageSize(), raw...)
 		if err := s.Arr.WriteQ(g, twin, q, pm); err != nil {
 			return fmt.Errorf("recovery: repair torn Q of group %d: %w", g, err)
@@ -878,25 +832,13 @@ func repairTornQ(s *core.Store, g page.GroupID, twin int) error {
 	if !foundNamed {
 		return invalidate()
 	}
-	idx := -1
-	for i, p := range pages {
-		if p == named {
-			idx = i
-		}
-	}
+	idx := slices.Index(pages, named)
 	if idx < 0 {
 		return invalidate()
 	}
-	others := make([][]byte, 0, len(raw))
-	others = append(others, pBuf)
-	for i, b := range raw {
-		if i != idx {
-			others = append(others, b)
-		}
-	}
-	described := make([][]byte, len(raw))
-	copy(described, raw)
-	described[idx] = xorparity.Reconstruct(s.Arr.PageSize(), others...)
+	others := append(slices.Delete(slices.Clone(raw), idx, idx+1), pBuf)
+	described := slices.Clone(raw)
+	described[idx] = erasure.ComputeP(s.Arr.PageSize(), others...)
 	q := erasure.ComputeQ(s.Arr.PageSize(), described...)
 	if err := s.Arr.WriteQ(g, twin, q, pm); err != nil {
 		return fmt.Errorf("recovery: repair torn Q of group %d: %w", g, err)
@@ -950,27 +892,6 @@ func repairTornData(s *core.Store, a *Analysis, g page.GroupID, p page.PageID, h
 	twin, err := s.DescribingTwin(g, p, a.Committed)
 	if err != nil {
 		return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
-	}
-	if os.Getenv("TRACE_FAULT") != "" {
-		fmt.Printf("TRACE tornrepair page %d group %d from twin %d (headerOK=%v)\n", p, g, twin, headerOK)
-		for tw := 0; tw < 2; tw++ {
-			m, _ := s.Arr.PeekParityMeta(g, tw)
-			fmt.Printf("TRACE   twin %d meta: state=%v ts=%d txn=%d dirty=%d paired=%v committed=%v\n", tw, m.State, m.Timestamp, m.Txn, m.DirtyPage, m.PairedSet, a.Committed(m.Txn))
-		}
-		for _, q := range s.Arr.GroupPages(g) {
-			loc := s.Arr.DataLoc(q)
-			dm, _ := s.Arr.Disk(loc.Disk).PeekMeta(loc.Block)
-			b, _ := s.Arr.PeekData(q)
-			fmt.Printf("TRACE   page %d meta: ts=%d txn=%d chain=%v data=%x\n", q, dm.Timestamp, dm.Txn, dm.ChainSet, b[:8])
-		}
-		for tw := 0; tw < 2; tw++ {
-			r, err := s.ReconstructData(g, p, tw)
-			if err != nil {
-				fmt.Printf("TRACE   reconstruct p from twin %d: err %v\n", tw, err)
-			} else {
-				fmt.Printf("TRACE   reconstruct p from twin %d = %x\n", tw, r[:8])
-			}
-		}
 	}
 	data, err := s.ReconstructData(g, p, twin)
 	if err != nil {
@@ -1051,7 +972,7 @@ func repairTornDataDegraded(s *core.Store, a *Analysis, g page.GroupID, p page.P
 		if s.Arr.HasQ() && s.QTwinReadable(g, dead) {
 			// The dead committed twin's Q partner still describes the
 			// pre-steal group: undo the steal directly from it.
-			if dOld, rerr := s.ReconstructDataAny(g, p, dead); rerr == nil {
+			if dOld, rerr := s.ReconstructData(g, p, dead); rerr == nil {
 				if err := s.Arr.WriteData(p, dOld, disk.Meta{}); err != nil {
 					return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
 				}
@@ -1186,19 +1107,14 @@ func repairTornDataViaSolve(s *core.Store, a *Analysis, g page.GroupID, p page.P
 			return false, nil
 		}
 	}
-	vals, err := s.SolveGroup(g, idx)
+	sol, err := s.SolveGroup(g, idx, core.Solve{})
 	if err != nil {
 		if errors.Is(err, core.ErrUnrecoverableCorruption) {
 			return false, nil
 		}
 		return false, err
 	}
-	var data page.Buf
-	for i, q := range s.Arr.GroupPages(g) {
-		if q == p {
-			data = vals[i]
-		}
-	}
+	data := sol.Val(p)
 	hdr := disk.Meta{}
 	if headerOK {
 		loc := s.Arr.DataLoc(p)
@@ -1419,7 +1335,7 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 				// tear (it rewrites every readable twin).
 				undone := false
 				if s.Arr.HasQ() && s.QTwinReadable(g, dead) {
-					if dOld, rerr := s.ReconstructDataAny(g, p, dead); rerr == nil {
+					if dOld, rerr := s.ReconstructData(g, p, dead); rerr == nil {
 						if werr := s.Arr.WriteData(p, dOld, disk.Meta{}); werr != nil {
 							return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, werr)
 						}
@@ -1493,12 +1409,12 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 			}
 		}
 		if meta.State == disk.StateCommitted {
-			if vals, serr := s.SolveGroup(g, twin); serr == nil {
-				raw := make([][]byte, len(vals))
-				for i, v := range vals {
+			if sol, serr := s.SolveGroup(g, twin, core.Solve{}); serr == nil {
+				raw := make([][]byte, len(sol.Vals))
+				for i, v := range sol.Vals {
 					raw[i] = v
 				}
-				pBuf := xorparity.Compute(s.Arr.PageSize(), raw...)
+				pBuf := erasure.ComputeP(s.Arr.PageSize(), raw...)
 				if err := s.Arr.WriteParity(g, twin, pBuf, meta); err != nil {
 					return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
 				}
@@ -1620,7 +1536,7 @@ func RecoverMediaMulti(s *core.Store, ds []int, before BeforeImageFunc) ([]page.
 				lostQ = append(lostQ, twin)
 			}
 		}
-		ok, err := rebuildGroup(s, gid, lostData, lostTwins, lostQ, before)
+		ok, err := rebuildGroup(s, gid, ds, lostData, lostTwins, lostQ, before)
 		if err != nil {
 			return lost, err
 		}
@@ -1663,9 +1579,10 @@ func resetLostGroupParity(s *core.Store, g page.GroupID) error {
 	return nil
 }
 
-// rebuildGroup reconstructs one group's lost blocks.  It returns false
-// when the loss exceeds the group's redundancy.
-func rebuildGroup(s *core.Store, g page.GroupID, lostData []page.PageID, lostTwins, lostQ []int, before BeforeImageFunc) (bool, error) {
+// rebuildGroup reconstructs one group's lost blocks; ds are the replaced
+// drives.  It returns false when the loss exceeds the group's
+// redundancy.
+func rebuildGroup(s *core.Store, g page.GroupID, ds []int, lostData []page.PageID, lostTwins, lostQ []int, before BeforeImageFunc) (bool, error) {
 	if len(lostData) == 0 && len(lostTwins) == 0 && len(lostQ) == 0 {
 		return true, nil
 	}
@@ -1684,317 +1601,148 @@ func rebuildGroup(s *core.Store, g page.GroupID, lostData []page.PageID, lostTwi
 			onDiskTwin = s.Twins.Current(g)
 		}
 	}
-	contains := func(set []int, t int) bool {
-		for _, x := range set {
-			if x == t {
-				return true
-			}
+	// surviving counts index t's redundancy pages left by the loss.
+	surviving := func(t int) int {
+		n := 0
+		if !slices.Contains(lostTwins, t) {
+			n++
 		}
-		return false
+		if s.Arr.HasQ() && !slices.Contains(lostQ, t) {
+			n++
+		}
+		return n
 	}
-	lostOnDisk := contains(lostTwins, onDiskTwin)
-	lostOnDiskQ := contains(lostQ, onDiskTwin)
 
-	switch {
-	case len(lostData) > 2:
-		return false, nil
-	case len(lostData) == 2:
-		// Two data pages are two erasures: only the on-disk index's P
-		// and Q equations together determine them.
-		if !s.Arr.HasQ() || lostOnDisk || lostOnDiskQ {
+	if len(lostData) > 0 {
+		// The lost pages solve from the on-disk index's surviving
+		// equations.  When those fall short on a dirty group, the
+		// committed index still determines every page but the dirty one,
+		// with the dirty page at its retained before-image:
+		// p = committed ⊕ Σ(other data, dirty page at its before-image).
+		from, in := onDiskTwin, core.Solve{Down: ds}
+		if surviving(from) < len(lostData) && dirty && !slices.Contains(lostData, e.Page) {
+			if img := beforeImage(before, g, e); img != nil {
+				from, in.Sub, in.SubVal = 1-onDiskTwin, e.Page, img
+			}
+		}
+		if surviving(from) < len(lostData) {
 			return false, nil
 		}
-		if err := rebuildTwoDataFromPQ(s, g, lostData[0], lostData[1], onDiskTwin, dirty, e); err != nil {
-			return false, err
+		sol, err := s.SolveGroup(g, from, in)
+		if err != nil {
+			return false, fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 		}
-	case len(lostData) == 1:
-		p := lostData[0]
-		switch {
-		case !lostOnDisk:
-			if err := rebuildDataFromTwin(s, g, p, onDiskTwin, dirty, e); err != nil {
-				return false, err
+		for _, p := range lostData {
+			meta := disk.Meta{}
+			if dirty && p == e.Page {
+				meta.Txn = e.Txn // restore the crash-undo tag
 			}
-		case s.Arr.HasQ() && !lostOnDiskQ:
-			// The on-disk P twin died with the page, but its Q partner
-			// describes the same state (lockstep) and solves p alone.
-			if err := rebuildDataFromQTwin(s, g, p, onDiskTwin, dirty, e); err != nil {
-				return false, err
+			if err := s.Arr.WriteData(p, sol.Val(p), meta); err != nil {
+				return false, fmt.Errorf("recovery: media rebuild page %d: %w", p, err)
 			}
-		case dirty && p != e.Page && before != nil && before(g, e) != nil:
-			// The on-disk-view twin is gone, but the committed twin plus
-			// the dirty page's before-image still determine p:
-			// p = committed ⊕ Σ(other data, dirty page at its before-image).
-			if err := rebuildDataFromCommitted(s, g, p, 1-onDiskTwin, e, before); err != nil {
-				return false, err
-			}
-		default:
-			// The lost page's covering redundancy is gone too.
-			return false, nil
 		}
 	}
 
-	// With the data whole again, recompute every lost twin.  For a dirty
-	// group the working twin goes first: the committed twin's rebuild
-	// reads the working twin's timestamp to order below it (Figure 7).
+	// With the data whole again, recompute every lost twin; only the lost
+	// redundancy slots still count as erased.  For a dirty group the
+	// working twin goes first: the committed twin's rebuild reads the
+	// working twin's timestamp to order below it (Figure 7).
+	var lostSlots []int
+	for _, t := range lostTwins {
+		lostSlots = append(lostSlots, s.Arr.ParityLoc(g, t).Disk)
+	}
+	for _, t := range lostQ {
+		lostSlots = append(lostSlots, s.Arr.QLoc(g, t).Disk)
+	}
 	sort.Slice(lostTwins, func(i, j int) bool {
 		return dirty && lostTwins[i] == e.WorkingTwin && lostTwins[j] != e.WorkingTwin
 	})
 	for _, twin := range lostTwins {
-		if err := rebuildParityTwin(s, g, twin, dirty, e, before); err != nil {
+		if err := rebuildParityTwin(s, g, lostSlots, twin, dirty, e, before); err != nil {
 			return false, err
 		}
 	}
 	// Lost Q pages rebuild last, mirroring their (now whole) P partners.
 	for _, twin := range lostQ {
-		if err := rebuildQTwin(s, g, twin, dirty, e, before); err != nil {
+		pm, err := s.Arr.ReadParityMeta(g, twin)
+		if err != nil {
+			return false, fmt.Errorf("recovery: media rebuild Q of group %d: %w", g, err)
+		}
+		raw, err := describedData(s, g, lostSlots, twin, dirty, e, before)
+		if err != nil {
 			return false, err
+		}
+		if err := s.Arr.WriteQ(g, twin, erasure.ComputeQ(s.Arr.PageSize(), raw...), pm); err != nil {
+			return false, fmt.Errorf("recovery: media rebuild Q of group %d: %w", g, err)
 		}
 	}
 	return true, nil
 }
 
-// rebuildTwoDataFromPQ reconstructs two lost data pages of one group
-// from the given index's P and Q equations plus the surviving members.
-func rebuildTwoDataFromPQ(s *core.Store, g page.GroupID, pa, pb page.PageID, twin int, dirty bool, e dirtyset.Entry) error {
-	pBuf, _, err := s.Arr.ReadParity(g, twin)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
+// beforeImage asks the engine for the dirty page's retained before-image
+// (nil when unavailable).
+func beforeImage(before BeforeImageFunc, g page.GroupID, e dirtyset.Entry) page.Buf {
+	if before == nil {
+		return nil
 	}
-	qBuf, _, err := s.Arr.ReadQ(g, twin)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-	}
-	pages := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	i, j := -1, -1
-	for k, pg := range pages {
-		switch pg {
-		case pa:
-			i = k
-		case pb:
-			j = k
-		default:
-			b, _, err := s.Arr.ReadData(pg)
-			if err != nil {
-				return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-			}
-			raw[k] = b
-		}
-	}
-	if i > j {
-		i, j = j, i
-		pa, pb = pb, pa
-	}
-	di, dj := erasure.ReconstructTwo(pBuf, qBuf, raw, i, j)
-	for _, rec := range []struct {
-		p page.PageID
-		b []byte
-	}{{pa, di}, {pb, dj}} {
-		meta := disk.Meta{}
-		if dirty && rec.p == e.Page {
-			meta.Txn = e.Txn
-		}
-		if err := s.Arr.WriteData(rec.p, rec.b, meta); err != nil {
-			return fmt.Errorf("recovery: media rebuild page %d: %w", rec.p, err)
-		}
-	}
-	return nil
+	return before(g, e)
 }
 
-// rebuildDataFromQTwin reconstructs data page p from the given index's Q
-// page (its P partner is lost) and the surviving members.
-func rebuildDataFromQTwin(s *core.Store, g page.GroupID, p page.PageID, twin int, dirty bool, e dirtyset.Entry) error {
-	q, _, err := s.Arr.ReadQ(g, twin)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-	}
-	pages := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	idx := -1
-	for i, pg := range pages {
-		if pg == p {
-			idx = i
-			continue
-		}
-		b, _, err := s.Arr.ReadData(pg)
-		if err != nil {
-			return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-		}
-		raw[i] = b
-	}
-	rebuilt := erasure.ReconstructOneQ(q, raw, idx)
-	meta := disk.Meta{}
-	if dirty && p == e.Page {
-		meta.Txn = e.Txn
-	}
-	if err := s.Arr.WriteData(p, rebuilt, meta); err != nil {
-		return fmt.Errorf("recovery: media rebuild page %d: %w", p, err)
-	}
-	return nil
-}
-
-// rebuildQTwin recomputes one lost Q page after the group's data and P
-// twins are whole again, under the P partner's header — the lockstep
-// invariant.  The committed partner of a dirty group describes the
-// before-image state, so its Q needs the same retained image the P
-// rebuild does.
-func rebuildQTwin(s *core.Store, g page.GroupID, twin int, dirty bool, e dirtyset.Entry, before BeforeImageFunc) error {
-	pm, err := s.Arr.ReadParityMeta(g, twin)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild Q of group %d: %w", g, err)
-	}
-	pages := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	for i, pg := range pages {
-		b, _, err := s.Arr.ReadData(pg)
-		if err != nil {
-			return fmt.Errorf("recovery: media rebuild Q of group %d: %w", g, err)
-		}
-		raw[i] = b
-	}
-	if dirty && s.Twins != nil && twin != e.WorkingTwin {
-		var img page.Buf
-		if before != nil {
-			img = before(g, e)
-		}
+// describedData returns the data values that redundancy index `twin` of
+// group g describes, read through the solver with the disks in lost
+// erased: the on-disk data, except that the committed index of a dirty
+// group describes the dirty page at its before-image.
+func describedData(s *core.Store, g page.GroupID, lost []int, twin int, dirty bool, e dirtyset.Entry, before BeforeImageFunc) ([][]byte, error) {
+	in := core.Solve{Down: lost}
+	if dirty && twin != e.WorkingTwin {
+		img := beforeImage(before, g, e)
 		if img == nil {
-			return fmt.Errorf("recovery: group %d: committed Q twin lost while dirty and no before-image available", g)
+			return nil, fmt.Errorf("recovery: group %d: committed redundancy index %d lost while dirty and no before-image available", g, twin)
 		}
-		for i, pg := range pages {
-			if pg == e.Page {
-				raw[i] = img
-			}
-		}
+		in.Sub, in.SubVal = e.Page, img
 	}
-	q := erasure.ComputeQ(s.Arr.PageSize(), raw...)
-	if err := s.Arr.WriteQ(g, twin, q, pm); err != nil {
-		return fmt.Errorf("recovery: media rebuild Q of group %d: %w", g, err)
-	}
-	return nil
-}
-
-// rebuildDataFromTwin reconstructs data page p from the given twin (which
-// describes the on-disk data) and the surviving members.
-func rebuildDataFromTwin(s *core.Store, g page.GroupID, p page.PageID, twin int, dirty bool, e dirtyset.Entry) error {
-	parity, _, err := s.Arr.ReadParity(g, twin)
+	sol, err := s.SolveGroup(g, twin, in)
 	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
+		return nil, fmt.Errorf("recovery: media rebuild redundancy of group %d: %w", g, err)
 	}
-	survivors := [][]byte{parity}
-	for _, q := range s.Arr.GroupPages(g) {
-		if q == p {
-			continue
-		}
-		b, _, err := s.Arr.ReadData(q)
-		if err != nil {
-			return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-		}
-		survivors = append(survivors, b)
+	raw := make([][]byte, len(sol.Vals))
+	for i, v := range sol.Vals {
+		raw[i] = v
 	}
-	rebuilt := xorparity.Reconstruct(s.Arr.PageSize(), survivors...)
-	meta := disk.Meta{}
-	if dirty && p == e.Page {
-		// Restore the crash-undo tag on the dirty page.
-		meta.Txn = e.Txn
-	}
-	if err := s.Arr.WriteData(p, rebuilt, meta); err != nil {
-		return fmt.Errorf("recovery: media rebuild page %d: %w", p, err)
-	}
-	return nil
-}
-
-// rebuildDataFromCommitted reconstructs a non-dirty data page of a dirty
-// group from the committed twin, substituting the dirty page's retained
-// before-image for its on-disk contents.
-func rebuildDataFromCommitted(s *core.Store, g page.GroupID, p page.PageID, committedTwin int, e dirtyset.Entry, before BeforeImageFunc) error {
-	img := before(g, e)
-	if img == nil {
-		return fmt.Errorf("recovery: group %d: need the dirty page's before-image to rebuild page %d; unavailable", g, p)
-	}
-	parity, _, err := s.Arr.ReadParity(g, committedTwin)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-	}
-	survivors := [][]byte{parity}
-	for _, q := range s.Arr.GroupPages(g) {
-		if q == p {
-			continue
-		}
-		if q == e.Page {
-			survivors = append(survivors, img)
-			continue
-		}
-		b, _, err := s.Arr.ReadData(q)
-		if err != nil {
-			return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-		}
-		survivors = append(survivors, b)
-	}
-	rebuilt := xorparity.Reconstruct(s.Arr.PageSize(), survivors...)
-	if err := s.Arr.WriteData(p, rebuilt, disk.Meta{}); err != nil {
-		return fmt.Errorf("recovery: media rebuild page %d: %w", p, err)
-	}
-	return nil
+	return raw, nil
 }
 
 // rebuildParityTwin recomputes one lost parity twin of group g.
-func rebuildParityTwin(s *core.Store, g page.GroupID, twin int, dirty bool, e dirtyset.Entry, before BeforeImageFunc) error {
-	ps := s.Arr.PageSize()
-	blocks, err := s.Arr.ReadGroup(g)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild parity of group %d: %w", g, err)
-	}
-	raw := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		raw[i] = b
-	}
-	onDiskParity := xorparity.Compute(ps, raw...)
-
-	// Single-parity array, or any twin of a clean group: parity of the
-	// on-disk data.
-	if s.Twins == nil {
-		meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		return s.Arr.WriteParity(g, twin, onDiskParity, meta)
-	}
-	if !dirty {
-		var meta disk.Meta
-		if twin == s.Twins.Current(g) {
-			meta = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		} else {
-			meta = disk.Meta{State: disk.StateObsolete, Timestamp: 0}
-		}
-		return s.Arr.WriteParity(g, twin, onDiskParity, meta)
-	}
-
-	if twin == e.WorkingTwin {
-		// The working twin is by definition the parity of the on-disk
-		// data of a dirty group.
-		meta := disk.Meta{State: disk.StateWorking, Timestamp: s.TM.NextTimestamp(), Txn: e.Txn, DirtyPage: e.Page}
-		return s.Arr.WriteParity(g, twin, onDiskParity, meta)
-	}
-
-	// The committed twin of a dirty group: parity of the on-disk data
-	// with the dirty page at its before-image.
-	img := before(g, e)
-	if img == nil {
-		return fmt.Errorf("recovery: group %d: committed parity twin lost while dirty and no before-image available", g)
-	}
-	dNew, _, err := s.Arr.ReadData(e.Page)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-	}
-	committedParity := xorparity.Xor(onDiskParity, dNew)
-	xorparity.XorInto(committedParity, img)
-	// Keep the Figure 7 ordering: the rebuilt committed twin must compare
-	// BELOW the surviving working twin.
-	wMeta, err := s.Arr.ReadParityMeta(g, e.WorkingTwin)
+func rebuildParityTwin(s *core.Store, g page.GroupID, lost []int, twin int, dirty bool, e dirtyset.Entry, before BeforeImageFunc) error {
+	raw, err := describedData(s, g, lost, twin, dirty, e, before)
 	if err != nil {
 		return err
 	}
-	ts := wMeta.Timestamp
-	if ts > 0 {
-		ts--
+	parity := erasure.ComputeP(s.Arr.PageSize(), raw...)
+	var meta disk.Meta
+	switch {
+	case s.Twins == nil || !dirty && twin == s.Twins.Current(g):
+		// Single parity, or the current twin of a clean group.
+		meta = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
+	case !dirty:
+		meta = disk.Meta{State: disk.StateObsolete, Timestamp: 0}
+	case twin == e.WorkingTwin:
+		// The working twin is by definition the parity of the on-disk
+		// data of a dirty group.
+		meta = disk.Meta{State: disk.StateWorking, Timestamp: s.TM.NextTimestamp(), Txn: e.Txn, DirtyPage: e.Page}
+	default:
+		// The committed twin of a dirty group (parity of the data with the
+		// dirty page at its before-image) must keep the Figure 7 ordering:
+		// it compares BELOW the surviving working twin.
+		wMeta, err := s.Arr.ReadParityMeta(g, e.WorkingTwin)
+		if err != nil {
+			return err
+		}
+		ts := wMeta.Timestamp
+		if ts > 0 {
+			ts--
+		}
+		meta = disk.Meta{State: disk.StateCommitted, Timestamp: ts}
 	}
-	meta := disk.Meta{State: disk.StateCommitted, Timestamp: ts}
-	return s.Arr.WriteParity(g, twin, committedParity, meta)
+	return s.Arr.WriteParity(g, twin, parity, meta)
 }

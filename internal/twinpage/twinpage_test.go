@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/diskarray"
+	"repro/internal/erasure"
 	"repro/internal/page"
-	"repro/internal/xorparity"
 )
 
 func newTwinArray(t *testing.T) *diskarray.Array {
@@ -229,7 +229,7 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	working := xorparity.SmallWrite(committedParity, oldData, newData)
+	working := erasure.ComputeP(ps, committedParity, oldData, newData)
 	if _, err := m.WriteWorking(0, working, 7, 10, victim); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered := xorparity.UndoTwin(p0, p1, onDisk)
+	recovered := erasure.ComputeP(ps, p0, p1, onDisk)
 	if !page.Buf(recovered).Equal(oldData) {
 		t.Fatalf("twin undo did not recover the before-image")
 	}

@@ -39,6 +39,7 @@ type oracleOp struct {
 type oracleTxn struct {
 	seq int64
 	ops []oracleOp
+	id  uint64 // the engine's transaction id (crash histories only)
 }
 
 // oracleConfig is the soak geometry: small pages and few frames so
@@ -368,7 +369,7 @@ func runCrashWorkload(db *DB, workers int, seed int64, hist *crashHistory, stop 
 						// under group commit the fold-in races the crash,
 						// so the transaction may silently be durable.
 						hist.mu.Lock()
-						hist.ambig = append(hist.ambig, oracleTxn{seq: tx.CommitSeq(), ops: ops})
+						hist.ambig = append(hist.ambig, oracleTxn{seq: tx.CommitSeq(), ops: ops, id: tx.ID()})
 						hist.mu.Unlock()
 					}
 					continue

@@ -1,7 +1,6 @@
 package rda
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"sort"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/page"
+	"repro/internal/recovery"
 )
 
 // Group-commit variants of the serializability and crash oracles.  Under
@@ -161,88 +161,27 @@ func TestSerializabilityOracleGroupCommitStripes(t *testing.T) {
 	diffStates(t, db, replayHistory(t, ref, history))
 }
 
-// verifyGroupCommitCrashOracle holds the recovered state to the relaxed
-// group-commit contract.  For every page the final image must be the
-// last write (in CommitSeq order) of some durable transaction, where the
-// durable set is: all recorded nil-return commits, plus any subset of
-// the ambiguous ones (EOT appended, ack lost).  Blind writes plus 2PL
-// give each page a linear writer chain, so the check reduces to: the
-// page equals the last recorded image for it, or the image of an
-// ambiguous transaction that out-sequences it.  A page showing anything
-// older than its last recorded commit means an acknowledged fold-in
-// never reached the platter — the violation this oracle exists to catch.
-func verifyGroupCommitCrashOracle(t *testing.T, db *DB, hist *crashHistory) {
+// resolveAmbiguous settles every ambiguous transaction of a crashed
+// engine's history exactly as restart will: the log that survived the
+// crash (its unforced tail is already gone) is analysed like recovery's
+// first pass, and an ambiguous transaction is durable iff its EOT record
+// survived.  Call after the crash and before Recover, which truncates
+// the analysed log.  The durable ones join hist.txns.
+func resolveAmbiguous(t *testing.T, db *DB, hist *crashHistory) {
 	t.Helper()
+	an, err := recovery.Analyze(db.log)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hist.mu.Lock()
-	txns := append([]oracleTxn(nil), hist.txns...)
-	ambig := append([]oracleTxn(nil), hist.ambig...)
-	hist.mu.Unlock()
-	sort.Slice(txns, func(i, j int) bool { return txns[i].seq < txns[j].seq })
-
-	type lastWrite struct {
-		seq   int64
-		delta uint64
-	}
-	lastRec := make(map[PageID]lastWrite)
-	for _, h := range txns {
-		for _, op := range h.ops {
-			lastRec[op.page] = lastWrite{seq: h.seq, delta: op.delta}
-		}
-	}
-	// Candidate counters per page: the last recorded commit, plus every
-	// ambiguous transaction's last write to the page unless a recorded
-	// commit out-sequences it.
-	cand := make(map[PageID]map[uint64]bool)
-	add := func(p PageID, d uint64) {
-		if cand[p] == nil {
-			cand[p] = make(map[uint64]bool)
-		}
-		cand[p][d] = true
-	}
-	for p, lw := range lastRec {
-		add(p, lw.delta)
-	}
-	for _, h := range ambig {
-		perPage := make(map[PageID]uint64)
-		for _, op := range h.ops {
-			perPage[op.page] = op.delta
-		}
-		for p, d := range perPage {
-			if lw, ok := lastRec[p]; ok && h.seq < lw.seq {
-				continue
-			}
-			add(p, d)
-		}
-	}
-
-	size := db.PageSize()
-	for p := 0; p < db.NumPages(); p++ {
-		got, err := db.PeekPage(PageID(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := cand[PageID(p)]
-		if len(cs) == 0 {
-			if !bytes.Equal(got, make([]byte, size)) {
-				t.Errorf("page %d: written only by losers yet non-zero after recovery", p)
-			}
-			continue
-		}
-		ok := false
-		for c := range cs {
-			if bytes.Equal(got, pageFromCounter(size, c)) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			_, recorded := lastRec[PageID(p)]
-			if recorded {
-				t.Errorf("page %d: acknowledged commit lost after crash recovery (counter %d not among %d candidate(s))",
-					p, counterOf(got), len(cs))
-			} else {
-				t.Errorf("page %d: state matches no ambiguous candidate (counter %d)", p, counterOf(got))
-			}
+	defer hist.mu.Unlock()
+	for _, h := range hist.ambig {
+		switch o := an.Outcomes[page.TxID(h.id)]; o {
+		case recovery.OutcomeCommitted:
+			hist.txns = append(hist.txns, h)
+		case recovery.OutcomeLoser:
+		default:
+			t.Errorf("ambiguous txn %d: outcome %v on the crashed log, want committed or loser", h.id, o)
 		}
 	}
 }
@@ -252,7 +191,9 @@ func verifyGroupCommitCrashOracle(t *testing.T, db *DB, hist *crashHistory) {
 // and checks that recovery honors every acknowledged commit.  The
 // ambiguous transactions (ErrCrashed with an assigned CommitSeq) are the
 // crash landing exactly in that gap; they may legitimately resolve
-// either way.
+// either way, so each is resolved from the crashed log exactly as
+// restart resolves it, and the recovered pages must then match the
+// durable history exactly.
 func TestGroupCommitCrashDurability(t *testing.T) {
 	for _, hard := range []bool{false, true} {
 		name := "Crash"
@@ -292,16 +233,20 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 			if _, err := db.Begin(); !errors.Is(err, ErrCrashed) {
 				t.Fatalf("Begin on crashed db: %v, want ErrCrashed", err)
 			}
+			hist.mu.Lock()
+			acked, ambiguous := len(hist.txns), len(hist.ambig)
+			hist.mu.Unlock()
+			resolveAmbiguous(t, db, hist)
 			if _, err := db.Recover(); err != nil {
 				t.Fatal(err)
 			}
 			if err := db.VerifyRecovered(); err != nil {
 				t.Fatal(err)
 			}
-			verifyGroupCommitCrashOracle(t, db, hist)
+			verifyCrashOracle(t, db, hist)
 			hist.mu.Lock()
-			t.Logf("%d acknowledged commit(s), %d ambiguous (crash in the force-to-ack gap)",
-				len(hist.txns), len(hist.ambig))
+			t.Logf("%d acknowledged commit(s), %d ambiguous (crash in the force-to-ack gap), %d of those durable",
+				acked, ambiguous, len(hist.txns)-acked)
 			hist.mu.Unlock()
 			// The engine must be fully usable again.
 			tx, err := db.Begin()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/diskarray"
 	"repro/internal/page"
@@ -168,7 +169,7 @@ func (db *DB) restoreGroup(g page.GroupID, downs []int) error {
 		}
 	}
 	if lostData > 0 {
-		vals, err := db.store.SolveGroup(g, cur)
+		sol, err := db.store.SolveGroup(g, cur, core.Solve{})
 		if err != nil {
 			return fmt.Errorf("rda: rebuild group %d: %w", g, err)
 		}
@@ -176,7 +177,7 @@ func (db *DB) restoreGroup(g page.GroupID, downs []int) error {
 			if !downSet[db.arr.DataLoc(p).Disk] {
 				continue
 			}
-			if err := db.arr.WriteData(p, vals[i], disk.Meta{}); err != nil {
+			if err := db.arr.WriteData(p, sol.Vals[i], disk.Meta{}); err != nil {
 				return fmt.Errorf("rda: rebuild page %d: %w", p, err)
 			}
 		}
